@@ -3,9 +3,10 @@
 
 Feeds a running daemon the full torture corpus -- deep-nesting JSON bombs,
 multi-megabyte request lines, truncated frames, binary garbage, slow-loris
-connections, and mid-response disconnects -- and asserts after every attack
-that the daemon still answers a ping on a fresh connection and that its
-stats counters account for the rejections. Intended to run against an
+connections, mid-response disconnects, and flow requests whose grid
+dimensions are below 1 -- and asserts after every attack that the daemon
+still answers a ping on a fresh connection and that its stats counters
+account for the rejections. Intended to run against an
 ASan+UBSan giad in CI (the sanitizers turn latent memory bugs into crashes
 this script then reports), but works against any build:
 
@@ -178,6 +179,27 @@ def attack_bad_protocol_lines(port):
     return len(lines)
 
 
+def attack_bad_grid_dimensions(port):
+    """Grid dimensions below 1 used to crash the daemon (SIGSEGV) or leak a
+    libstdc++ message; each must fail its own request with a structured
+    error naming the knob."""
+    cases = [
+        (b'{"flow_request":{"tech":"glass25d","router":{"grid_nx":0}},"result":false}',
+         b"router.grid_nx"),
+        (b'{"flow_request":{"tech":"glass25d","router":{"grid_nx":-3}},"result":false}',
+         b"router.grid_nx"),
+        (b'{"flow_request":{"with_thermal":true,"thermal_mesh":{"nx":0}},"result":false}',
+         b"thermal_mesh.nx"),
+    ]
+    for line, knob in cases:
+        resp = roundtrip(port, line, timeout_s=300.0)
+        if b'"ok":false' not in resp or b'"status":"failed"' not in resp or knob not in resp:
+            fail(f"grid dimension request {line[:70]!r} not failed cleanly: {resp[:300]!r}")
+        expect_alive(port, f"grid dimension request {line[:70]!r}")
+    ok(f"{len(cases)} non-positive grid dimensions failed with structured errors")
+    return len(cases)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--port", type=int, required=True)
@@ -211,6 +233,8 @@ def main():
     n_bad = attack_bad_protocol_lines(port)
     expect_alive(port, "malformed protocol batch")
 
+    n_grid = attack_bad_grid_dimensions(port)
+
     # Let the orphaned flow request finish so the counters settle.
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
@@ -241,6 +265,11 @@ def main():
         fail("10 MB line not counted in stats.oversize_rejections")
     else:
         ok("oversize rejection accounted")
+    failed = stats["scheduler"]["failed"] - base["scheduler"]["failed"]
+    if failed < n_grid:
+        fail(f"scheduler.failed +{failed} < {n_grid} bad grid dimension requests")
+    else:
+        ok(f"failed flows accounted: +{failed}")
     if stats["timeouts"] - base["timeouts"] < 1:
         fail("slow-loris reap not counted in stats.timeouts")
     else:

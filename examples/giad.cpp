@@ -9,18 +9,11 @@
 ///        [--idle-timeout-ms N] [--io-timeout-ms N] [--max-conn-ms N]
 ///        [--max-line-bytes N] [--max-search-points N]
 ///        [--max-active-searches N] [--max-search-ms N]
-///        [--coordinator --worker HOST:PORT [--worker HOST:PORT ...]
-///         [--hedge-ms N] [--fleet-replicas N] [--fleet-max-inflight N]]
 ///
 /// --port 0 picks an ephemeral port (printed on stdout at startup and
 /// reported as "port" in the stats verb).
 /// --cache-dir enables the on-disk store ("-" disables it even when
 /// GIA_CACHE_DIR is set).
-/// --coordinator turns this giad into a fleet coordinator: flow requests
-/// are consistent-hash routed across the --worker pool by their content
-/// address, with hedged re-issues after --hedge-ms and structured
-/// "overloaded" shedding when a key's replicas are all down. See
-/// src/serve/fleet.hpp.
 /// The timeout/limit knobs bound untrusted clients: idle connections are
 /// closed, a blocked socket op cannot pin a worker, and oversized or
 /// too-deeply-nested request lines are rejected with a structured error.
@@ -28,67 +21,23 @@
 /// injection when torture-testing.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <string>
 
 #include "serve/daemon.hpp"
 
 int main(int argc, char** argv) {
   gia::serve::ServerOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const char* a = argv[i];
-    if (!std::strcmp(a, "--port") && i + 1 < argc) {
-      opts.port = std::atoi(argv[++i]);
-    } else if (!std::strcmp(a, "--workers") && i + 1 < argc) {
-      opts.scheduler_workers = std::atoi(argv[++i]);
-    } else if (!std::strcmp(a, "--conn-workers") && i + 1 < argc) {
-      opts.connection_workers = std::atoi(argv[++i]);
-    } else if (!std::strcmp(a, "--cache-capacity") && i + 1 < argc) {
-      opts.cache_capacity = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (!std::strcmp(a, "--cache-dir") && i + 1 < argc) {
-      opts.cache_dir = argv[++i];
-    } else if (!std::strcmp(a, "--idle-timeout-ms") && i + 1 < argc) {
-      opts.idle_timeout_ms = std::atoi(argv[++i]);
-    } else if (!std::strcmp(a, "--io-timeout-ms") && i + 1 < argc) {
-      opts.io_timeout_ms = std::atoi(argv[++i]);
-    } else if (!std::strcmp(a, "--max-conn-ms") && i + 1 < argc) {
-      opts.max_connection_ms = std::atoi(argv[++i]);
-    } else if (!std::strcmp(a, "--max-line-bytes") && i + 1 < argc) {
-      opts.max_line_bytes = static_cast<std::size_t>(std::atol(argv[++i]));
-    } else if (!std::strcmp(a, "--max-search-points") && i + 1 < argc) {
-      opts.max_search_points = static_cast<std::uint64_t>(std::atoll(argv[++i]));
-    } else if (!std::strcmp(a, "--max-active-searches") && i + 1 < argc) {
-      opts.max_active_searches = std::atoi(argv[++i]);
-    } else if (!std::strcmp(a, "--max-search-ms") && i + 1 < argc) {
-      opts.max_search_ms = std::atoi(argv[++i]);
-    } else if (!std::strcmp(a, "--coordinator")) {
-      opts.coordinator = true;
-    } else if (!std::strcmp(a, "--worker") && i + 1 < argc) {
-      opts.fleet_workers.push_back(argv[++i]);
-    } else if (!std::strcmp(a, "--hedge-ms") && i + 1 < argc) {
-      opts.hedge_ms = std::atoi(argv[++i]);
-    } else if (!std::strcmp(a, "--fleet-replicas") && i + 1 < argc) {
-      opts.fleet_replicas = std::atoi(argv[++i]);
-    } else if (!std::strcmp(a, "--fleet-max-inflight") && i + 1 < argc) {
-      opts.fleet_max_inflight = std::atoi(argv[++i]);
-    } else if (!std::strcmp(a, "--fleet-io-timeout-ms") && i + 1 < argc) {
-      opts.fleet_io_timeout_ms = std::atoi(argv[++i]);
-    } else {
-      std::fprintf(stderr,
-                   "usage: giad [--port N] [--workers N] [--conn-workers N]\n"
-                   "            [--cache-capacity N] [--cache-dir DIR]\n"
-                   "            [--idle-timeout-ms N] [--io-timeout-ms N]\n"
-                   "            [--max-conn-ms N] [--max-line-bytes N]\n"
-                   "            [--max-search-points N] [--max-active-searches N]\n"
-                   "            [--max-search-ms N]\n"
-                   "            [--coordinator --worker HOST:PORT [--worker ...]\n"
-                   "             [--hedge-ms N] [--fleet-replicas N]\n"
-                   "             [--fleet-max-inflight N] [--fleet-io-timeout-ms N]]\n");
-      return 2;
-    }
-  }
-  if (opts.coordinator && opts.fleet_workers.empty()) {
-    std::fprintf(stderr, "giad: --coordinator requires at least one --worker HOST:PORT\n");
+  std::string err;
+  if (!gia::serve::parse_server_args(argc - 1, argv + 1, &opts, &err)) {
+    std::fprintf(stderr,
+                 "giad: %s\n"
+                 "usage: giad [--port N] [--workers N] [--conn-workers N]\n"
+                 "            [--cache-capacity N] [--cache-dir DIR]\n"
+                 "            [--idle-timeout-ms N] [--io-timeout-ms N]\n"
+                 "            [--max-conn-ms N] [--max-line-bytes N]\n"
+                 "            [--max-search-points N] [--max-active-searches N]\n"
+                 "            [--max-search-ms N]\n",
+                 err.c_str());
     return 2;
   }
   return gia::serve::run_daemon(opts);

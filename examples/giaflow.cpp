@@ -10,10 +10,11 @@
 ///   giaflow layout <tech> <out.svg>     route and render the interposer
 ///   giaflow eye <tech> <len_um> <gbps>  eye metrics for a channel
 ///   giaflow cost                        cost comparison across all designs
-///   giaflow serve [--port N] [--workers N] [--cache-capacity N]
-///                 [--cache-dir DIR] [--idle-timeout-ms N] [--io-timeout-ms N]
-///                 [--max-line-bytes N] [--max-search-points N]
-///                 [--max-active-searches N] [--max-search-ms N]
+///   giaflow serve [--port N] [--workers N] [--conn-workers N]
+///                 [--cache-capacity N] [--cache-dir DIR] [--idle-timeout-ms N]
+///                 [--io-timeout-ms N] [--max-conn-ms N] [--max-line-bytes N]
+///                 [--max-search-points N] [--max-active-searches N]
+///                 [--max-search-ms N]
 ///                                       run the giad serving daemon
 ///   giaflow client <port> <tech>        submit one flow request to a daemon
 ///                                       (retries with jittered backoff)
@@ -110,15 +111,13 @@ int usage() {
                "  giaflow layout <tech> <out.svg>\n"
                "  giaflow eye <tech> <len_um> <gbps>\n"
                "  giaflow cost\n"
-               "  giaflow serve [--port N] [--workers N] [--cache-capacity N] "
-               "[--cache-dir DIR]\n"
-               "                [--idle-timeout-ms N] [--io-timeout-ms N] "
-               "[--max-line-bytes N]\n"
-               "                [--max-search-points N] [--max-active-searches N] "
-               "[--max-search-ms N]\n"
-               "                [--coordinator --worker HOST:PORT [--worker ...] "
-               "[--hedge-ms N]\n"
-               "                 [--fleet-replicas N] [--fleet-max-inflight N]]\n"
+               "  giaflow serve [--port N] [--workers N] [--conn-workers N] "
+               "[--cache-capacity N]\n"
+               "                [--cache-dir DIR] [--idle-timeout-ms N] "
+               "[--io-timeout-ms N]\n"
+               "                [--max-conn-ms N] [--max-line-bytes N] "
+               "[--max-search-points N]\n"
+               "                [--max-active-searches N] [--max-search-ms N]\n"
                "  giaflow client <port> <tech>\n"
                "  giaflow search <port> [--spec FILE | --spec-json JSON] "
                "[--deadline-ms N]\n"
@@ -366,49 +365,13 @@ int main(int argc, char** argv) {
     rc = 0;
   } else if (cmd == "serve") {
     serve::ServerOptions opts;
-    bool ok = true;
-    for (int i = 1; i < n; ++i) {
-      const std::string a = args[i];
-      if (a == "--port" && i + 1 < n) {
-        opts.port = std::atoi(args[++i]);
-      } else if (a == "--workers" && i + 1 < n) {
-        opts.scheduler_workers = std::atoi(args[++i]);
-      } else if (a == "--cache-capacity" && i + 1 < n) {
-        opts.cache_capacity = static_cast<std::size_t>(std::atol(args[++i]));
-      } else if (a == "--cache-dir" && i + 1 < n) {
-        opts.cache_dir = args[++i];
-      } else if (a == "--idle-timeout-ms" && i + 1 < n) {
-        opts.idle_timeout_ms = std::atoi(args[++i]);
-      } else if (a == "--io-timeout-ms" && i + 1 < n) {
-        opts.io_timeout_ms = std::atoi(args[++i]);
-      } else if (a == "--max-line-bytes" && i + 1 < n) {
-        opts.max_line_bytes = static_cast<std::size_t>(std::atol(args[++i]));
-      } else if (a == "--max-search-points" && i + 1 < n) {
-        opts.max_search_points = static_cast<std::uint64_t>(std::atoll(args[++i]));
-      } else if (a == "--max-active-searches" && i + 1 < n) {
-        opts.max_active_searches = std::atoi(args[++i]);
-      } else if (a == "--max-search-ms" && i + 1 < n) {
-        opts.max_search_ms = std::atoi(args[++i]);
-      } else if (a == "--coordinator") {
-        opts.coordinator = true;
-      } else if (a == "--worker" && i + 1 < n) {
-        opts.fleet_workers.push_back(args[++i]);
-      } else if (a == "--hedge-ms" && i + 1 < n) {
-        opts.hedge_ms = std::atoi(args[++i]);
-      } else if (a == "--fleet-replicas" && i + 1 < n) {
-        opts.fleet_replicas = std::atoi(args[++i]);
-      } else if (a == "--fleet-max-inflight" && i + 1 < n) {
-        opts.fleet_max_inflight = std::atoi(args[++i]);
-      } else {
-        std::fprintf(stderr, "giaflow serve: unknown option %s\n", a.c_str());
-        ok = false;
-      }
+    std::string err;
+    if (serve::parse_server_args(n - 1, args.data() + 1, &opts, &err)) {
+      rc = serve::run_daemon(opts);
+    } else {
+      std::fprintf(stderr, "giaflow serve: %s\n", err.c_str());
+      rc = usage();
     }
-    if (opts.coordinator && opts.fleet_workers.empty()) {
-      std::fprintf(stderr, "giaflow serve: --coordinator requires at least one --worker\n");
-      ok = false;
-    }
-    rc = ok ? serve::run_daemon(opts) : usage();
   } else if (cmd == "client" && n == 3 && parse_tech(args[2], &kind)) {
     serve::FlowRequest req;
     req.tech = kind;

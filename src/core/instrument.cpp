@@ -24,18 +24,16 @@ constexpr int kNumCounters = static_cast<int>(Counter::kCount);
 constexpr const char* kCounterNames[kNumCounters] = {
     "sor_iterations",        "thermal_transient_steps",
     "lu_factorizations",     "lu_solves",
-    "transient_steps",       "transient_step_rejections",
-    "ac_points",             "mc_trials",
-    "prbs_segments",         "eye_uis",
-    "sweep_points",          "flow_runs",
-    "serve_requests",        "cache_hits",
-    "cache_misses",          "cache_coalesced",
-    "stage_runs",            "stage_cache_hits",
-    "stage_cache_misses",    "krylov_iterations",
-    "mg_vcycles",            "dse_points_evaluated",
-    "dse_front_updates",     "dse_cache_assisted_points",
-    "fleet_forwards",        "fleet_hedges",
-    "fleet_shed",            "fleet_worker_failures",
+    "transient_steps",       "ac_points",
+    "mc_trials",             "prbs_segments",
+    "eye_uis",               "sweep_points",
+    "flow_runs",             "serve_requests",
+    "cache_hits",            "cache_misses",
+    "cache_coalesced",       "stage_runs",
+    "stage_cache_hits",      "stage_cache_misses",
+    "krylov_iterations",     "mg_vcycles",
+    "dse_points_evaluated",  "dse_front_updates",
+    "dse_cache_assisted_points",
 };
 
 struct SpanNode {

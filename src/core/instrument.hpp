@@ -45,9 +45,6 @@ enum class Counter : int {
   LuFactorizations,       ///< dense LU factorisations (real + complex)
   LuSolves,               ///< dense LU triangular solves
   TransientSteps,         ///< MNA transient time steps accepted
-  TransientStepRejections,///< reserved: step rejections (always 0 for the
-                          ///  fixed-step linear solver; kept for adaptive /
-                          ///  Newton extensions)
   AcPoints,               ///< AC analysis frequency points solved
   McTrials,               ///< Monte Carlo variation trials
   PrbsSegments,           ///< PRBS eye-ensemble segments simulated
@@ -67,10 +64,6 @@ enum class Counter : int {
   DseFrontUpdates,        ///< Pareto-front versions published by dse:: searches
   DseCacheAssistedPoints, ///< dse points served with result-cache / coalesce /
                           ///  resident-stage-artifact help
-  FleetForwards,          ///< requests a coordinator forwarded to fleet workers
-  FleetHedges,            ///< hedged re-issues to a secondary replica
-  FleetShed,              ///< requests shed with a structured "overloaded" error
-  FleetWorkerFailures,    ///< forward attempts that failed against a worker
   kCount
 };
 

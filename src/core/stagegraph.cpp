@@ -3,11 +3,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <functional>
-#include <future>
-#include <list>
-#include <mutex>
 #include <stdexcept>
-#include <unordered_map>
 #include <vector>
 
 #include <algorithm>
@@ -15,6 +11,7 @@
 #include <limits>
 
 #include "core/canon.hpp"
+#include "core/content_cache.hpp"
 #include "core/instrument.hpp"
 #include "core/json.hpp"
 #include "core/links.hpp"
@@ -206,21 +203,22 @@ void write_knobs(StageId id, const FlowOptions& o, canon::Writer& w) {
   write_system_knobs(id, o, w);
 }
 
-// --- Process-wide stage-artifact cache: sharded LRU over type-erased
-// artifact pointers, with in-flight coalescing (a concurrent second
-// computation of the same key blocks on the first instead of duplicating
-// the work). Counters are always live (the serving layer reports them with
-// tracing off); the instrument-layer counters are additionally fed when
-// tracing is on.
+// --- Process-wide stage-artifact cache: a ContentCache of type-erased
+// artifact pointers tagged by stage, so evictions count per stage.
+// Counters are always live (the serving layer reports them with tracing
+// off); the instrument-layer counters are additionally fed when tracing is
+// on.
 
 using ArtifactPtr = std::shared_ptr<const void>;
 
 class StageCache {
  public:
-  static constexpr int kShards = 8;
   static constexpr std::size_t kDefaultCapacity = 128;
 
-  StageCache() {
+  StageCache()
+      : store_(kDefaultCapacity, 8, [this](int tag) {
+          evictions_[static_cast<std::size_t>(tag)].fetch_add(1, std::memory_order_relaxed);
+        }) {
     const char* env = std::getenv("GIA_STAGE_CACHE");
     if (env != nullptr && env[0] != '\0') {
       const std::string v = env;
@@ -230,7 +228,7 @@ class StageCache {
         char* end = nullptr;
         const unsigned long long n = std::strtoull(env, &end, 10);
         if (end != nullptr && *end == '\0' && n > 0) {
-          capacity_.store(static_cast<std::size_t>(n), std::memory_order_relaxed);
+          store_.set_capacity(static_cast<std::size_t>(n));
         }
       }
     }
@@ -238,144 +236,78 @@ class StageCache {
 
   ArtifactPtr get_or_compute(StageId id, std::uint64_t key, StageRunRecord::Outcome* outcome,
                              const std::function<ArtifactPtr()>& compute) {
-    if (!enabled_.load(std::memory_order_relaxed)) {
+    if (!enabled()) {
       *outcome = StageRunRecord::Outcome::Computed;
       return compute();
     }
-    Shard& sh = shards_[shard_of(key)];
-    std::unique_lock<std::mutex> lk(sh.mu);
-    if (auto it = sh.map.find(key); it != sh.map.end()) {
-      sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-      ArtifactPtr art = it->second->artifact;  // copy under the lock
-      lk.unlock();
-      count(hits_, id);
-      instrument::counter_add(instrument::Counter::StageCacheHits);
-      *outcome = StageRunRecord::Outcome::CacheHit;
-      return art;
+    using Store = ContentCache<void>;
+    // A miss counts as its computation starts, so a throwing stage counts too.
+    Store::Outcome oc;
+    ArtifactPtr art = store_.get_or_compute(
+        key, idx(id),
+        [&] {
+          count(misses_, id);
+          instrument::counter_add(instrument::Counter::StageCacheMisses);
+          return compute();
+        },
+        &oc);
+    switch (oc) {
+      case Store::Outcome::Hit:
+        count(hits_, id);
+        instrument::counter_add(instrument::Counter::StageCacheHits);
+        *outcome = StageRunRecord::Outcome::CacheHit;
+        break;
+      case Store::Outcome::Coalesced:
+        count(coalesced_, id);
+        instrument::counter_add(instrument::Counter::StageCacheHits);
+        *outcome = StageRunRecord::Outcome::Coalesced;
+        break;
+      case Store::Outcome::Computed:
+        *outcome = StageRunRecord::Outcome::Computed;
+        break;
     }
-    if (auto p = sh.pending.find(key); p != sh.pending.end()) {
-      auto fut = p->second;
-      lk.unlock();
-      count(coalesced_, id);
-      instrument::counter_add(instrument::Counter::StageCacheHits);
-      *outcome = StageRunRecord::Outcome::Coalesced;
-      return fut.get();  // rethrows the computing thread's exception
-    }
-    std::promise<ArtifactPtr> prom;
-    sh.pending.emplace(key, prom.get_future().share());
-    lk.unlock();
-
-    count(misses_, id);
-    instrument::counter_add(instrument::Counter::StageCacheMisses);
-    *outcome = StageRunRecord::Outcome::Computed;
-    ArtifactPtr art;
-    try {
-      art = compute();
-    } catch (...) {
-      lk.lock();
-      sh.pending.erase(key);
-      lk.unlock();
-      prom.set_exception(std::current_exception());
-      throw;
-    }
-
-    lk.lock();
-    sh.pending.erase(key);
-    if (sh.map.find(key) == sh.map.end()) {
-      sh.lru.push_front({key, id, art});
-      sh.map.emplace(key, sh.lru.begin());
-      const std::size_t cap =
-          std::max<std::size_t>(1, capacity_.load(std::memory_order_relaxed) / kShards);
-      while (sh.lru.size() > cap) {
-        const Node& victim = sh.lru.back();
-        count(evictions_, victim.stage);
-        sh.map.erase(victim.key);
-        sh.lru.pop_back();
-      }
-    }
-    lk.unlock();
-    prom.set_value(art);
     return art;
   }
 
   StageCacheStats stats() const {
     StageCacheStats s;
-    s.enabled = enabled_.load(std::memory_order_relaxed);
-    s.capacity = capacity_.load(std::memory_order_relaxed);
-    for (int i = 0; i < kStageCount; ++i) {
-      s.stage[static_cast<std::size_t>(i)].hits = hits_[static_cast<std::size_t>(i)].load();
-      s.stage[static_cast<std::size_t>(i)].misses = misses_[static_cast<std::size_t>(i)].load();
-      s.stage[static_cast<std::size_t>(i)].evictions =
-          evictions_[static_cast<std::size_t>(i)].load();
-      s.stage[static_cast<std::size_t>(i)].coalesced =
-          coalesced_[static_cast<std::size_t>(i)].load();
+    s.enabled = enabled();
+    s.capacity = store_.capacity();
+    for (std::size_t i = 0; i < static_cast<std::size_t>(kStageCount); ++i) {
+      s.stage[i].hits = hits_[i].load();
+      s.stage[i].misses = misses_[i].load();
+      s.stage[i].evictions = evictions_[i].load();
+      s.stage[i].coalesced = coalesced_[i].load();
     }
-    for (const Shard& sh : shards_) {
-      std::lock_guard<std::mutex> lk(sh.mu);
-      s.entries += sh.lru.size();
-    }
+    s.entries = store_.size();
     return s;
   }
 
   void clear() {
-    for (Shard& sh : shards_) {
-      std::lock_guard<std::mutex> lk(sh.mu);
-      sh.map.clear();
-      sh.lru.clear();
-      // pending computations are left to finish; their artifacts insert
-      // into the now-empty store.
-    }
+    store_.clear();
     for (auto& c : hits_) c.store(0);
     for (auto& c : misses_) c.store(0);
     for (auto& c : evictions_) c.store(0);
     for (auto& c : coalesced_) c.store(0);
   }
 
-  /// Passive residency probe: true when `key` is stored or in flight.
-  /// No LRU touch, no counter updates -- callers (the dse:: cache-aware
-  /// batch ordering) must not perturb hit/miss accounting or recency.
-  bool resident(std::uint64_t key) const {
-    if (!enabled_.load(std::memory_order_relaxed)) return false;
-    const Shard& sh = shards_[shard_of(key)];
-    std::lock_guard<std::mutex> lk(sh.mu);
-    return sh.map.find(key) != sh.map.end() || sh.pending.find(key) != sh.pending.end();
-  }
+  /// Passive residency probe (see stage_cache_resident).
+  bool resident(std::uint64_t key) const { return enabled() && store_.resident(key); }
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  std::size_t capacity() const { return capacity_.load(std::memory_order_relaxed); }
-  void set_capacity(std::size_t n) {
-    capacity_.store(std::max<std::size_t>(1, n), std::memory_order_relaxed);
-  }
+  std::size_t capacity() const { return store_.capacity(); }
+  void set_capacity(std::size_t n) { store_.set_capacity(n); }
 
  private:
-  struct Node {
-    std::uint64_t key = 0;
-    StageId stage = StageId::NetlistPartition;
-    ArtifactPtr artifact;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::list<Node> lru;  ///< front = most recently used
-    std::unordered_map<std::uint64_t, std::list<Node>::iterator> map;
-    /// In-flight computations; a second caller of the same key waits here.
-    std::unordered_map<std::uint64_t, std::shared_future<ArtifactPtr>> pending;
-  };
-
-  static int shard_of(std::uint64_t key) {
-    // The low bits feed the hash map; pick shard from high bits.
-    return static_cast<int>(key >> 61u) & (kShards - 1);
-  }
-
   using CounterArray = std::array<std::atomic<std::uint64_t>, kStageCount>;
   static void count(CounterArray& arr, StageId id) {
     arr[static_cast<std::size_t>(idx(id))].fetch_add(1, std::memory_order_relaxed);
   }
 
-  std::array<Shard, kShards> shards_;
-  std::atomic<bool> enabled_{true};
-  std::atomic<std::size_t> capacity_{kDefaultCapacity};
   CounterArray hits_{}, misses_{}, evictions_{}, coalesced_{};
+  ContentCache<void> store_;
+  std::atomic<bool> enabled_{true};
 };
 
 StageCache& cache() {

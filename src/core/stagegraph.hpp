@@ -26,7 +26,8 @@
 /// transitive dependents; a downstream-only change (eye_bits, thermal mesh,
 /// rollup activity) reuses every upstream artifact.
 ///
-/// A process-wide sharded LRU artifact cache backs the executor, so
+/// A process-wide artifact cache (a `ContentCache`, core/content_cache.hpp,
+/// the sharded LRU the serving result cache also uses) backs the executor, so
 /// sweeps, ablation benches and `giad` requests that differ only in
 /// downstream knobs skip the expensive PnR/interposer stages. Concurrent
 /// evaluations of the same stage key coalesce onto one computation (the
@@ -202,8 +203,8 @@ bool stage_cache_enabled();
 /// Override the GIA_STAGE_CACHE environment decision (tests, benches).
 void set_stage_cache_enabled(bool on);
 std::size_t stage_cache_capacity();
-/// Rebound the cache (entries, split across shards); takes effect on the
-/// next insertion. A smaller bound evicts lazily, not eagerly.
+/// Rebound the cache (entries, split across shards). A smaller bound evicts
+/// at once, counted as per-stage evictions.
 void set_stage_cache_capacity(std::size_t entries);
 
 }  // namespace gia::core::stage

@@ -5,6 +5,7 @@
 #include <limits>
 #include <queue>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "geometry/polygon.hpp"
@@ -374,6 +375,11 @@ void rebalance_layer(Workspace& ws, RoutedNet& rn, std::vector<std::size_t>& cel
 
 RouteResult route_interposer(const tech::Technology& tech, const InterposerFloorplan& fp,
                              const std::vector<TopNet>& nets, const RouterOptions& opts) {
+  if (opts.grid_nx < 1 || opts.grid_ny < 1) {
+    throw std::invalid_argument("router.grid_nx and router.grid_ny must be >= 1 (got " +
+                                std::to_string(opts.grid_nx) + " x " +
+                                std::to_string(opts.grid_ny) + ")");
+  }
   RouteResult out;
   const int avail_layers = std::max(1, tech.rules.metal_layers - 2);
   out.stats.signal_layers_available = avail_layers;

@@ -6,14 +6,11 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
-#include <list>
-#include <mutex>
 #include <sstream>
-#include <unordered_map>
-#include <vector>
 
 #include <unistd.h>
 
+#include "core/content_cache.hpp"
 #include "core/instrument.hpp"
 #include "core/serialize.hpp"
 #include "serve/faultinject.hpp"
@@ -25,39 +22,26 @@ namespace fs = std::filesystem;
 namespace ins = core::instrument;
 
 struct ResultCache::Impl {
-  struct Shard {
-    std::mutex mu;
-    /// MRU at the front; (key, result).
-    std::list<std::pair<std::uint64_t, ResultPtr>> lru;
-    std::unordered_map<std::uint64_t, decltype(lru)::iterator> index;
-  };
-
-  std::vector<std::unique_ptr<Shard>> shards;
-  std::size_t per_shard_capacity = 8;
-  std::string dir;  ///< empty = disk disabled
+  explicit Impl(const Config& cfg)
+      : lru(cfg.capacity, cfg.shards,
+            [this](int) { evictions.fetch_add(1, std::memory_order_relaxed); }) {}
 
   std::atomic<std::uint64_t> hits{0}, disk_hits{0}, misses{0}, insertions{0}, evictions{0},
       disk_writes{0}, disk_errors{0};
-
-  Shard& shard_of(std::uint64_t key) {
-    // Mix the key before selecting so low-entropy FNV outputs still spread.
-    const std::uint64_t mixed = key ^ (key >> 29);
-    return *shards[mixed % shards.size()];
-  }
+  core::ContentCache<core::TechnologyResult> lru;
+  std::string dir;  ///< empty = disk disabled
 
   std::string path_of(std::uint64_t key) const { return dir + "/" + key_hex(key) + ".json"; }
+
+  /// Store in memory only (disk hits are promoted through here too).
+  void remember(std::uint64_t key, const ResultPtr& result) {
+    if (lru.put(key, result)) insertions.fetch_add(1, std::memory_order_relaxed);
+  }
 };
 
 ResultCache::ResultCache() : ResultCache(Config()) {}
 
-ResultCache::ResultCache(const Config& cfg) : impl_(std::make_unique<Impl>()) {
-  const int n_shards = cfg.shards >= 1 ? cfg.shards : 1;
-  impl_->shards.reserve(static_cast<std::size_t>(n_shards));
-  for (int i = 0; i < n_shards; ++i) impl_->shards.push_back(std::make_unique<Impl::Shard>());
-  const std::size_t cap = cfg.capacity >= 1 ? cfg.capacity : 1;
-  impl_->per_shard_capacity =
-      (cap + static_cast<std::size_t>(n_shards) - 1) / static_cast<std::size_t>(n_shards);
-
+ResultCache::ResultCache(const Config& cfg) : impl_(std::make_unique<Impl>(cfg)) {
   std::string dir = cfg.disk_dir;
   if (dir.empty()) {
     if (const char* env = std::getenv("GIA_CACHE_DIR")) dir = env;
@@ -78,16 +62,10 @@ ResultCache::ResultCache(const Config& cfg) : impl_(std::make_unique<Impl>()) {
 ResultCache::~ResultCache() = default;
 
 ResultCache::ResultPtr ResultCache::get(std::uint64_t key) {
-  auto& sh = impl_->shard_of(key);
-  {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    auto it = sh.index.find(key);
-    if (it != sh.index.end()) {
-      sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-      impl_->hits.fetch_add(1, std::memory_order_relaxed);
-      ins::counter_add(ins::Counter::CacheHits);
-      return it->second->second;
-    }
+  if (ResultPtr hit = impl_->lru.get(key)) {
+    impl_->hits.fetch_add(1, std::memory_order_relaxed);
+    ins::counter_add(ins::Counter::CacheHits);
+    return hit;
   }
 
   if (!impl_->dir.empty()) {
@@ -99,8 +77,7 @@ ResultCache::ResultPtr ResultCache::get(std::uint64_t key) {
         auto result =
             std::make_shared<const core::TechnologyResult>(
                 core::technology_result_from_json(buf.str()));
-        // Promote into memory (without double-writing to disk).
-        insert(key, result, /*write_disk=*/false);
+        impl_->remember(key, result);
         impl_->hits.fetch_add(1, std::memory_order_relaxed);
         impl_->disk_hits.fetch_add(1, std::memory_order_relaxed);
         ins::counter_add(ins::Counter::CacheHits);
@@ -122,27 +99,9 @@ ResultCache::ResultPtr ResultCache::get(std::uint64_t key) {
   return nullptr;
 }
 
-void ResultCache::insert(std::uint64_t key, ResultPtr result, bool write_disk) {
-  auto& sh = impl_->shard_of(key);
-  {
-    std::lock_guard<std::mutex> lk(sh.mu);
-    auto it = sh.index.find(key);
-    if (it != sh.index.end()) {
-      it->second->second = result;
-      sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-    } else {
-      sh.lru.emplace_front(key, result);
-      sh.index.emplace(key, sh.lru.begin());
-      impl_->insertions.fetch_add(1, std::memory_order_relaxed);
-      while (sh.lru.size() > impl_->per_shard_capacity) {
-        sh.index.erase(sh.lru.back().first);
-        sh.lru.pop_back();
-        impl_->evictions.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  }
-
-  if (write_disk && !impl_->dir.empty()) {
+void ResultCache::put(std::uint64_t key, ResultPtr result) {
+  impl_->remember(key, result);
+  if (!impl_->dir.empty()) {
     // Unique tmp name (pid + atomic counter): concurrent writers of the same
     // key can no longer rename each other's partial file. Any failure leaves
     // the memory entry authoritative and removes the tmp file -- the disk
@@ -184,16 +143,7 @@ void ResultCache::insert(std::uint64_t key, ResultPtr result, bool write_disk) {
   }
 }
 
-void ResultCache::put(std::uint64_t key, ResultPtr result) {
-  insert(key, std::move(result), /*write_disk=*/true);
-}
-
-ResultCache::ResultPtr ResultCache::peek(std::uint64_t key) const {
-  auto& sh = impl_->shard_of(key);
-  std::lock_guard<std::mutex> lk(sh.mu);
-  auto it = sh.index.find(key);
-  return it != sh.index.end() ? it->second->second : nullptr;
-}
+ResultCache::ResultPtr ResultCache::peek(std::uint64_t key) const { return impl_->lru.peek(key); }
 
 ResultCache::Stats ResultCache::stats() const {
   Stats s;
@@ -204,12 +154,7 @@ ResultCache::Stats ResultCache::stats() const {
   s.evictions = impl_->evictions.load(std::memory_order_relaxed);
   s.disk_writes = impl_->disk_writes.load(std::memory_order_relaxed);
   s.disk_errors = impl_->disk_errors.load(std::memory_order_relaxed);
-  std::size_t entries = 0;
-  for (auto& sh : impl_->shards) {
-    std::lock_guard<std::mutex> lk(sh->mu);
-    entries += sh->lru.size();
-  }
-  s.entries = entries;
+  s.entries = impl_->lru.size();
   return s;
 }
 

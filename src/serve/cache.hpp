@@ -7,13 +7,12 @@
 #include "core/flow.hpp"
 
 /// \file cache.hpp
-/// Content-addressed result cache for the serving layer: an in-memory
-/// sharded LRU of `TechnologyResult` keyed by `request_key` (see
-/// request.hpp), with an optional write-through on-disk JSON store. Shards
-/// are selected by key bits, each with its own mutex, so concurrent
-/// get/put from scheduler workers and connection handlers never contend on
-/// one lock. Results are held as `shared_ptr<const TechnologyResult>`:
-/// eviction never invalidates a result a reader still holds.
+/// Content-addressed result cache for the serving layer: a
+/// `core::ContentCache` (the sharded LRU shared with the stage cache) of
+/// `TechnologyResult` keyed by `request_key` (see request.hpp), with an
+/// optional write-through on-disk JSON store on top. Results are held as
+/// `shared_ptr<const TechnologyResult>`: eviction never invalidates a
+/// result a reader still holds.
 ///
 /// Disk store: when constructed with a directory (or, by default, the
 /// `GIA_CACHE_DIR` environment variable is set), every insert also writes
@@ -72,8 +71,6 @@ class ResultCache {
   const std::string& disk_dir() const;
 
  private:
-  void insert(std::uint64_t key, ResultPtr result, bool write_disk);
-
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

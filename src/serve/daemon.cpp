@@ -15,8 +15,12 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <deque>
+#include <functional>
+#include <initializer_list>
+#include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
@@ -31,7 +35,6 @@
 #include "dse/search.hpp"
 #include "dse/space.hpp"
 #include "serve/faultinject.hpp"
-#include "serve/fleet.hpp"
 #include "serve/request.hpp"
 
 namespace gia::serve {
@@ -72,6 +75,15 @@ void set_io_timeouts(int fd, int io_timeout_ms) {
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
 }
 
+/// The first field of request object `v` not in `allowed`, or nullptr.
+const std::string* unknown_field(const json::Value& v, std::initializer_list<const char*> allowed) {
+  for (const auto& kv : v.obj) {
+    if (std::none_of(allowed.begin(), allowed.end(), [&](const char* k) { return kv.first == k; }))
+      return &kv.first;
+  }
+  return nullptr;
+}
+
 std::uint64_t splitmix64(std::uint64_t x) {
   x += 0x9e3779b97f4a7c15ull;
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
@@ -91,9 +103,6 @@ struct Server::Impl {
 
   std::unique_ptr<ResultCache> cache;
   std::unique_ptr<JobScheduler> scheduler;
-  /// Coordinator mode only: the worker pool router. When set there is no
-  /// local cache/scheduler; flow requests are forwarded (serve/fleet.hpp).
-  std::unique_ptr<Fleet> fleet;
 
   std::thread accept_thread;
   std::vector<std::thread> conn_workers;
@@ -345,13 +354,7 @@ struct Server::Impl {
         }
       }
 
-      if (const json::Value* frv = v.find("flow_request"))
-        return fleet ? handle_flow_fleet(v, *frv, id_field, line)
-                     : handle_flow(v, *frv, id_field);
-      if (fleet && (v.find("search") || v.find("search_cancel") || v.find("search_refine")))
-        return error_response(id_field,
-                              "search verbs are worker-local (streams and search ids live on "
-                              "one worker); connect to a worker directly");
+      if (const json::Value* frv = v.find("flow_request")) return handle_flow(v, *frv, id_field);
       if (v.find("search")) return handle_search(fd, v, id_field);
       if (const json::Value* cv = v.find("search_cancel"))
         return handle_search_cancel(v, *cv, id_field);
@@ -382,13 +385,9 @@ struct Server::Impl {
 
   std::string handle_flow(const json::Value& v, const json::Value& frv,
                           const std::string& id_field) {
-    static const char* const kAllowed[] = {"flow_request", "id",     "priority",
-                                           "deadline_ms",  "after", "result"};
-    for (const auto& kv : v.obj) {
-      bool known = false;
-      for (const char* k : kAllowed) known = known || kv.first == k;
-      if (!known) return error_response(id_field, "unknown request field: " + kv.first);
-    }
+    if (const std::string* f = unknown_field(
+            v, {"flow_request", "id", "priority", "deadline_ms", "after", "result"}))
+      return error_response(id_field, "unknown request field: " + *f);
 
     const FlowRequest req = request_from_value(frv);
     JobScheduler::SubmitOptions sopts;
@@ -461,48 +460,6 @@ struct Server::Impl {
     return out;
   }
 
-  /// Coordinator-mode flow handling: validate locally (same field rules as
-  /// handle_flow, so a malformed request is rejected at the edge without a
-  /// network hop), key the request by its content address, and forward the
-  /// ORIGINAL line verbatim -- the worker's response already echoes the
-  /// client's id, so it passes straight back. When every replica for the
-  /// key is down or saturated the request is shed with a structured
-  /// "overloaded" error instead of queueing.
-  std::string handle_flow_fleet(const json::Value& v, const json::Value& frv,
-                                const std::string& id_field, const std::string& line) {
-    static const char* const kAllowed[] = {"flow_request", "id",     "priority",
-                                           "deadline_ms",  "after", "result"};
-    for (const auto& kv : v.obj) {
-      bool known = false;
-      for (const char* k : kAllowed) known = known || kv.first == k;
-      if (!known) return error_response(id_field, "unknown request field: " + kv.first);
-    }
-    // Job ids are worker-local; a dependency forwarded to a different
-    // worker than the one that issued the id would silently mis-resolve.
-    if (v.find("after"))
-      return error_response(id_field,
-                            "after (job dependencies) is not available in coordinator mode");
-
-    const FlowRequest req = request_from_value(frv);  // throws -> handle_line
-    const std::uint64_t key = request_key(req);
-    n_flow_requests.fetch_add(1, std::memory_order_relaxed);
-    ins::counter_add(ins::Counter::ServeRequests);
-
-    const Fleet::ForwardResult fr = fleet->forward(key, line);
-    if (fr.ok) return fr.response;
-
-    std::string out = "{\"ok\":false";
-    out += id_field;
-    out += ",\"error\":\"overloaded\",\"shed\":true,\"key\":\"";
-    out += key_hex(key);
-    out += "\",\"attempts\":";
-    json::append_i64(fr.attempts, out);
-    out += ",\"detail\":";
-    json::escape(fr.error, out);
-    out.push_back('}');
-    return out;
-  }
-
   static void append_metrics(const core::MetricMap& m, std::string& out) {
     out.push_back('{');
     bool first = true;
@@ -530,12 +487,8 @@ struct Server::Impl {
   }
 
   std::string handle_search(int fd, const json::Value& v, const std::string& id_field) {
-    static const char* const kAllowed[] = {"search", "id", "deadline_ms"};
-    for (const auto& kv : v.obj) {
-      bool known = false;
-      for (const char* k : kAllowed) known = known || kv.first == k;
-      if (!known) return error_response(id_field, "unknown request field: " + kv.first);
-    }
+    if (const std::string* f = unknown_field(v, {"search", "id", "deadline_ms"}))
+      return error_response(id_field, "unknown request field: " + *f);
 
     const dse::SearchSpec spec = dse::spec_from_value(v);  // throws -> handle_line
 
@@ -717,12 +670,8 @@ struct Server::Impl {
 
   std::string handle_search_cancel(const json::Value& v, const json::Value& cv,
                                    const std::string& id_field) {
-    static const char* const kAllowed[] = {"search_cancel", "id"};
-    for (const auto& kv : v.obj) {
-      bool known = false;
-      for (const char* k : kAllowed) known = known || kv.first == k;
-      if (!known) return error_response(id_field, "unknown request field: " + kv.first);
-    }
+    if (const std::string* f = unknown_field(v, {"search_cancel", "id"}))
+      return error_response(id_field, "unknown request field: " + *f);
     if (cv.kind != json::Value::Kind::Number || cv.raw[0] == '-')
       return error_response(id_field, "search_cancel must be a search id");
     const std::uint64_t sid = cv.as_u64();
@@ -743,12 +692,8 @@ struct Server::Impl {
 
   std::string handle_search_refine(const json::Value& v, const json::Value& rv,
                                    const std::string& id_field) {
-    static const char* const kAllowed[] = {"search_refine", "rounds", "id"};
-    for (const auto& kv : v.obj) {
-      bool known = false;
-      for (const char* k : kAllowed) known = known || kv.first == k;
-      if (!known) return error_response(id_field, "unknown request field: " + kv.first);
-    }
+    if (const std::string* f = unknown_field(v, {"search_refine", "rounds", "id"}))
+      return error_response(id_field, "unknown request field: " + *f);
     if (rv.kind != json::Value::Kind::Number || rv.raw[0] == '-')
       return error_response(id_field, "search_refine must be a search id");
     const std::uint64_t sid = rv.as_u64();
@@ -776,7 +721,6 @@ struct Server::Impl {
   }
 
   std::string stats_body() const {
-    if (fleet) return stats_body_fleet();
     const auto sched = scheduler->counters();
     const auto cst = cache->stats();
     const double uptime =
@@ -861,37 +805,6 @@ struct Server::Impl {
     out.push_back('}');
     return out;
   }
-
-  /// Coordinator stats: local protocol counters + the fleet view (which
-  /// roundtrips a stats verb to every live worker and merges).
-  std::string stats_body_fleet() const {
-    const double uptime =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
-    std::string out = "{\"port\":";
-    json::append_i64(bound_port, out);
-    out += ",\"coordinator\":true,\"connections\":";
-    json::append_u64(n_connections.load(std::memory_order_relaxed), out);
-    out += ",\"requests\":";
-    json::append_u64(n_requests.load(std::memory_order_relaxed), out);
-    out += ",\"flow_requests\":";
-    json::append_u64(n_flow_requests.load(std::memory_order_relaxed), out);
-    out += ",\"protocol_errors\":";
-    json::append_u64(n_protocol_errors.load(std::memory_order_relaxed), out);
-    out += ",\"timeouts\":";
-    json::append_u64(n_timeouts.load(std::memory_order_relaxed), out);
-    out += ",\"oversize_rejections\":";
-    json::append_u64(n_oversize.load(std::memory_order_relaxed), out);
-    out += ",\"uptime_s\":";
-    json::append_double(uptime, out);
-    out += ",\"fleet\":";
-    out += fleet->stats_json();
-    if (fault::enabled()) {
-      out += ",\"faults\":";
-      out += fault::counters_json();
-    }
-    out.push_back('}');
-    return out;
-  }
 };
 
 Server::Server(const ServerOptions& opts) : impl_(std::make_unique<Impl>()) {
@@ -915,24 +828,6 @@ bool Server::start(std::string* err) {
   if (im.started) {
     if (err) *err = "server already started";
     return false;
-  }
-  if (im.opts.coordinator) {
-    // Build the fleet before touching sockets so a bad pool config fails
-    // fast with nothing to unwind.
-    FleetOptions fopts;
-    fopts.workers = im.opts.fleet_workers;
-    fopts.replicas = im.opts.fleet_replicas;
-    fopts.hedge_ms = im.opts.hedge_ms;
-    fopts.max_inflight_per_worker = im.opts.fleet_max_inflight;
-    fopts.client.io_timeout_ms = im.opts.fleet_io_timeout_ms;
-    fopts.retry.overall_deadline_ms =
-        im.opts.fleet_io_timeout_ms > 0 ? 2 * im.opts.fleet_io_timeout_ms : 0;
-    try {
-      im.fleet = std::make_unique<Fleet>(fopts);
-    } catch (const std::exception& e) {
-      if (err) *err = e.what();
-      return false;
-    }
   }
   if (::pipe(im.stop_pipe) != 0) {
     if (err) *err = errno_str("pipe");
@@ -968,17 +863,14 @@ bool Server::start(std::string* err) {
   else
     im.bound_port = im.opts.port;
 
-  if (!im.opts.coordinator) {
-    ResultCache::Config ccfg;
-    ccfg.capacity = im.opts.cache_capacity;
-    ccfg.shards = im.opts.cache_shards;
-    ccfg.disk_dir = im.opts.cache_dir;
-    im.cache = std::make_unique<ResultCache>(ccfg);
-    JobScheduler::Options sopts;
-    sopts.workers = im.opts.scheduler_workers;
-    sopts.cache = im.cache.get();
-    im.scheduler = std::make_unique<JobScheduler>(sopts);
-  }
+  ResultCache::Config ccfg;
+  ccfg.capacity = im.opts.cache_capacity;
+  ccfg.disk_dir = im.opts.cache_dir;
+  im.cache = std::make_unique<ResultCache>(ccfg);
+  JobScheduler::Options sopts;
+  sopts.workers = im.opts.scheduler_workers;
+  sopts.cache = im.cache.get();
+  im.scheduler = std::make_unique<JobScheduler>(sopts);
 
   im.start_time = std::chrono::steady_clock::now();
   im.accept_thread = std::thread([&im] { im.accept_loop(); });
@@ -1047,28 +939,11 @@ Server::Stats Server::stats() const {
   }
   if (impl_->cache) s.cache = impl_->cache->stats();
   s.stage_cache = core::stage::stage_cache_stats();
-  if (impl_->fleet) {
-    const auto fc = impl_->fleet->counters();
-    s.fleet.enabled = true;
-    s.fleet.forwarded = fc.forwarded;
-    s.fleet.answered = fc.answered;
-    s.fleet.hedges = fc.hedges;
-    s.fleet.hedge_wins = fc.hedge_wins;
-    s.fleet.failovers = fc.failovers;
-    s.fleet.shed = fc.shed;
-    s.fleet.worker_failures = fc.worker_failures;
-    for (const auto& w : impl_->fleet->workers()) {
-      ++s.fleet.workers_total;
-      if (w.up) ++s.fleet.workers_up;
-    }
-  }
   s.uptime_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - impl_->start_time)
           .count();
   return s;
 }
-
-std::string Server::stats_json() const { return impl_->stats_body(); }
 
 // ---------------------------------------------------------------------------
 // run_daemon
@@ -1102,8 +977,6 @@ int run_daemon(const ServerOptions& opts) {
   ::sigaction(SIGINT, &sa, nullptr);
   ::sigaction(SIGTERM, &sa, nullptr);
 
-  if (opts.coordinator)
-    std::printf("giad: coordinating %zu workers\n", opts.fleet_workers.size());
   std::printf("giad: listening on 127.0.0.1:%d\n", server.port());
   std::fflush(stdout);
 
@@ -1128,27 +1001,81 @@ int run_daemon(const ServerOptions& opts) {
   g_sig_pipe[0] = g_sig_pipe[1] = -1;
 
   const Server::Stats st = server.stats();
-  if (st.fleet.enabled) {
-    std::printf(
-        "giad: drained cleanly after %llu requests (%llu forwarded, %llu hedges, "
-        "%llu failovers, %llu shed)\n",
-        static_cast<unsigned long long>(st.requests),
-        static_cast<unsigned long long>(st.fleet.forwarded),
-        static_cast<unsigned long long>(st.fleet.hedges),
-        static_cast<unsigned long long>(st.fleet.failovers),
-        static_cast<unsigned long long>(st.fleet.shed));
-  } else {
-    std::printf(
-        "giad: drained cleanly after %llu requests (%llu flow, %llu hits, %llu coalesced, "
-        "%llu executed)\n",
-        static_cast<unsigned long long>(st.requests),
-        static_cast<unsigned long long>(st.flow_requests),
-        static_cast<unsigned long long>(st.scheduler.cache_hits),
-        static_cast<unsigned long long>(st.scheduler.coalesced),
-        static_cast<unsigned long long>(st.scheduler.executed));
-  }
+  std::printf(
+      "giad: drained cleanly after %llu requests (%llu flow, %llu hits, %llu coalesced, "
+      "%llu executed)\n",
+      static_cast<unsigned long long>(st.requests),
+      static_cast<unsigned long long>(st.flow_requests),
+      static_cast<unsigned long long>(st.scheduler.cache_hits),
+      static_cast<unsigned long long>(st.scheduler.coalesced),
+      static_cast<unsigned long long>(st.scheduler.executed));
   std::fflush(stdout);
   return 0;
+}
+
+// ---------------------------------------------------------------------------
+// parse_server_args
+
+namespace {
+
+/// Setter for one numeric ServerOptions field (the value is range-checked
+/// against the field's type before the call).
+template <typename T>
+std::function<void(long long)> assign(T* field) {
+  return [field](long long v) { *field = static_cast<T>(v); };
+}
+
+}  // namespace
+
+bool parse_server_args(int argc, const char* const* argv, ServerOptions* opts,
+                       std::string* err) {
+  constexpr long long kIntMax = std::numeric_limits<int>::max();
+  constexpr long long kAnyMax = std::numeric_limits<long long>::max();
+  const struct {
+    const char* flag;
+    long long min, max;
+    std::function<void(long long)> set;
+  } kNumeric[] = {
+      {"--port", 0, 65535, assign(&opts->port)},
+      {"--workers", 1, kIntMax, assign(&opts->scheduler_workers)},
+      {"--conn-workers", 1, kIntMax, assign(&opts->connection_workers)},
+      {"--cache-capacity", 1, kAnyMax, assign(&opts->cache_capacity)},
+      {"--idle-timeout-ms", 0, kIntMax, assign(&opts->idle_timeout_ms)},
+      {"--io-timeout-ms", 0, kIntMax, assign(&opts->io_timeout_ms)},
+      {"--max-conn-ms", 0, kIntMax, assign(&opts->max_connection_ms)},
+      {"--max-line-bytes", 1, kAnyMax, assign(&opts->max_line_bytes)},
+      {"--max-search-points", 0, kAnyMax, assign(&opts->max_search_points)},
+      {"--max-active-searches", 0, kIntMax, assign(&opts->max_active_searches)},
+      {"--max-search-ms", 0, kIntMax, assign(&opts->max_search_ms)},
+  };
+  const auto fail = [&](std::string msg) {
+    if (err) *err = std::move(msg);
+    return false;
+  };
+  for (int i = 0; i < argc; ++i) {
+    const std::string flag = argv[i];
+    const auto* num = std::find_if(std::begin(kNumeric), std::end(kNumeric),
+                                   [&](const auto& f) { return flag == f.flag; });
+    if (num == std::end(kNumeric) && flag != "--cache-dir") return fail("unknown option " + flag);
+    if (i + 1 >= argc) return fail(flag + " expects a value");
+    const char* text = argv[++i];
+    if (num == std::end(kNumeric)) {
+      opts->cache_dir = text;
+      continue;
+    }
+    errno = 0;
+    char* end = nullptr;
+    const long long v = std::strtoll(text, &end, 10);
+    if (end == text || *end != '\0' || errno == ERANGE || v < num->min || v > num->max) {
+      const std::string range =
+          num->max < kIntMax
+              ? "in [" + std::to_string(num->min) + ", " + std::to_string(num->max) + "]"
+              : ">= " + std::to_string(num->min);
+      return fail(flag + " expects an integer " + range + ", got '" + text + "'");
+    }
+    num->set(v);
+  }
+  return true;
 }
 
 // ---------------------------------------------------------------------------
@@ -1164,20 +1091,13 @@ void Client::close() {
   rxbuf_.clear();
 }
 
-bool Client::connect(int port, std::string* err) { return connect("127.0.0.1", port, err); }
-
-bool Client::connect(const std::string& host, int port, std::string* err) {
+bool Client::connect(int port, std::string* err) {
   close();
   sockaddr_in addr;
   std::memset(&addr, 0, sizeof addr);
   addr.sin_family = AF_INET;
   addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  if (host.empty() || host == "localhost") {
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  } else if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    if (err) *err = "bad host address: " + host;
-    return false;
-  }
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
   if (fd_ < 0) {
     if (err) *err = errno_str("socket");
@@ -1275,12 +1195,6 @@ bool Client::read_line(std::string* response, std::string* err) {
 
 bool Client::request_with_retry(int port, const std::string& line, const RetryPolicy& policy,
                                 std::string* response, std::string* err, int* attempts_out) {
-  return request_with_retry("127.0.0.1", port, line, policy, response, err, attempts_out);
-}
-
-bool Client::request_with_retry(const std::string& host, int port, const std::string& line,
-                                const RetryPolicy& policy, std::string* response,
-                                std::string* err, int* attempts_out) {
   const int max_attempts = std::max(1, policy.max_attempts);
   const auto t0 = Clock::now();
   const auto deadline =
@@ -1292,7 +1206,7 @@ bool Client::request_with_retry(const std::string& host, int port, const std::st
 
   for (int attempt = 1; attempt <= max_attempts; ++attempt) {
     if (attempts_out) *attempts_out = attempt;
-    bool ok = connected() || connect(host, port, &last_err);
+    bool ok = connected() || connect(port, &last_err);
     if (ok) {
       ok = roundtrip(line, response, &last_err);
       // A failed roundtrip leaves the stream in an unknown state (half-sent

@@ -3,7 +3,6 @@
 #include <cstdint>
 #include <memory>
 #include <string>
-#include <vector>
 
 #include "core/stagegraph.hpp"
 #include "serve/cache.hpp"
@@ -54,7 +53,6 @@ struct ServerOptions {
   int connection_workers = 4;
   int scheduler_workers = 2;
   std::size_t cache_capacity = 64;
-  int cache_shards = 8;
   /// Disk store directory; empty = GIA_CACHE_DIR; "-" = memory only.
   std::string cache_dir;
   int accept_backlog = 16;
@@ -90,21 +88,6 @@ struct ServerOptions {
   /// Hard wall-clock bound applied to every search on top of the request's
   /// own deadline_ms. 0 = none.
   int max_search_ms = 0;
-
-  // --- Coordinator (fleet) mode: `giad --coordinator`. The daemon runs no
-  // local scheduler/cache; flow requests are consistent-hash routed across
-  // `fleet_workers` (by their content-addressed request key) with hedging,
-  // failover and load-shedding, and the stats verb merges the workers'
-  // views (serve/fleet.hpp). Search verbs are worker-local (their job ids
-  // and streams are), so a coordinator rejects them with a structured
-  // error pointing at the workers.
-  bool coordinator = false;
-  std::vector<std::string> fleet_workers;  ///< "host:port" per giad worker
-  int hedge_ms = 250;                      ///< hedge window; 0 disables hedging
-  int fleet_replicas = 2;                  ///< distinct replicas eligible per key
-  int fleet_max_inflight = 32;             ///< per-worker saturation bound
-  /// Per-forward-attempt socket op bound; must exceed a cold flow run.
-  int fleet_io_timeout_ms = 120000;
 };
 
 class Server {
@@ -161,26 +144,9 @@ class Server {
     /// hit/miss/eviction counters proving which upstream artifacts the
     /// daemon's traffic reuses across requests.
     core::stage::StageCacheStats stage_cache;
-    /// Coordinator-mode fleet counters (all zero on a worker).
-    struct FleetView {
-      bool enabled = false;  ///< true iff running as a coordinator
-      std::uint64_t forwarded = 0;
-      std::uint64_t answered = 0;
-      std::uint64_t hedges = 0;
-      std::uint64_t hedge_wins = 0;
-      std::uint64_t failovers = 0;
-      std::uint64_t shed = 0;
-      std::uint64_t worker_failures = 0;
-      std::uint64_t workers_total = 0;
-      std::uint64_t workers_up = 0;  ///< not in backoff quarantine
-    };
-    FleetView fleet;
     double uptime_s = 0;
   };
   Stats stats() const;
-
-  /// JSON body of the stats verb (exposed for tests and the client CLI).
-  std::string stats_json() const;
 
  private:
   struct Impl;
@@ -192,6 +158,17 @@ class Server {
 /// SIGINT/SIGTERM handlers, waits for a drain, prints final stats, and
 /// returns the process exit code.
 int run_daemon(const ServerOptions& opts);
+
+/// The server flags shared by `giad` and `giaflow serve`, applied on top of
+/// `*opts`: --port --workers --conn-workers --cache-capacity --cache-dir
+/// --idle-timeout-ms --io-timeout-ms --max-conn-ms --max-line-bytes
+/// --max-search-points --max-active-searches --max-search-ms. Every flag
+/// takes a value; numbers must be whole decimal tokens within the field's
+/// range ("--port abc" is an error, not an ephemeral port). Returns false
+/// with `*err` naming the offending flag on an unknown flag, a missing
+/// value, or a malformed number.
+bool parse_server_args(int argc, const char* const* argv, ServerOptions* opts,
+                       std::string* err = nullptr);
 
 /// Minimal blocking NDJSON client for giaflow/bench/CI. Every socket op is
 /// bounded (connect timeout, per-op SO_RCVTIMEO/SO_SNDTIMEO, response-size
@@ -227,11 +204,6 @@ class Client {
   Client& operator=(const Client&) = delete;
 
   bool connect(int port, std::string* err = nullptr);  ///< 127.0.0.1
-  /// Connect to an explicit IPv4 host. `host` is a dotted quad or
-  /// "localhost"; no DNS resolution happens here (the fleet configuration
-  /// is addresses, and a blocking resolver call has no place on a
-  /// coordinator's forwarding path).
-  bool connect(const std::string& host, int port, std::string* err = nullptr);
   /// Send one line (newline appended) and read one response line.
   bool roundtrip(const std::string& line, std::string* response, std::string* err = nullptr);
   /// Send one line without waiting for a response (streaming verbs).
@@ -246,9 +218,6 @@ class Client {
   bool request_with_retry(int port, const std::string& line, const RetryPolicy& policy,
                           std::string* response, std::string* err = nullptr,
                           int* attempts_out = nullptr);
-  bool request_with_retry(const std::string& host, int port, const std::string& line,
-                          const RetryPolicy& policy, std::string* response,
-                          std::string* err = nullptr, int* attempts_out = nullptr);
   void close();
   bool connected() const { return fd_ >= 0; }
 

@@ -22,7 +22,6 @@ struct Registry {
   std::atomic<bool> armed{false};  ///< any site has probability > 0
   std::uint64_t seed = 1;
   int stall_ms = 10;
-  int slow_worker_ms = 50;
   /// Probability scaled to 2^64 so the decision is one integer compare.
   std::uint64_t threshold[kSiteCount] = {};
   std::atomic<std::uint64_t> n_trials[kSiteCount] = {};
@@ -58,7 +57,6 @@ bool parse_site(const std::string& key, Site* out) noexcept {
 void apply_spec(const std::string& spec) {
   g_reg.seed = 1;
   g_reg.stall_ms = 10;
-  g_reg.slow_worker_ms = 50;
   for (int i = 0; i < kSiteCount; ++i) g_reg.threshold[i] = 0;
   reset_counters();
 
@@ -92,15 +90,12 @@ void apply_spec(const std::string& spec) {
       std::fprintf(stderr, "GIA_FAULTS: ignoring unknown site \"%s\"\n", key.c_str());
       continue;
     }
-    // Optional ":MS" parameter (the stall sites only).
+    // Optional ":MS" parameter (the stall site only).
     const std::size_t colon = val.find(':');
     if (colon != std::string::npos) {
       if (site == Site::SchedStall) {
         const int ms = std::atoi(val.c_str() + colon + 1);
         if (ms > 0) g_reg.stall_ms = ms;
-      } else if (site == Site::FleetSlowWorker) {
-        const int ms = std::atoi(val.c_str() + colon + 1);
-        if (ms > 0) g_reg.slow_worker_ms = ms;
       } else {
         std::fprintf(stderr, "GIA_FAULTS: %s takes no parameter, ignoring \":%s\"\n",
                      key.c_str(), val.c_str() + colon + 1);
@@ -136,8 +131,6 @@ const char* site_name(Site s) noexcept {
     case Site::CacheWriteEnospc: return "cache_write_enospc";
     case Site::CacheWriteEio: return "cache_write_eio";
     case Site::SchedStall: return "sched_stall";
-    case Site::FleetWorkerDown: return "fleet_worker_down";
-    case Site::FleetSlowWorker: return "fleet_slow_worker";
     default: return "unknown";
   }
 }
@@ -228,16 +221,6 @@ int cache_write_error() noexcept {
 void maybe_stall() {
   if (enabled() && should_inject(Site::SchedStall)) {
     std::this_thread::sleep_for(std::chrono::milliseconds(g_reg.stall_ms));
-  }
-}
-
-bool worker_dead() noexcept {
-  return enabled() && should_inject(Site::FleetWorkerDown);
-}
-
-void maybe_slow_worker() {
-  if (enabled() && should_inject(Site::FleetSlowWorker)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(g_reg.slow_worker_ms));
   }
 }
 

@@ -25,11 +25,6 @@
 ///   cache_write_eio=P       disk-cache writes fail with an I/O error
 ///   sched_stall=P[:MS]      a scheduler worker sleeps MS ms (default 10)
 ///                           before running a job
-///   fleet_worker_down=P     a fleet forward attempt fails as if the worker
-///                           died (connection refused, no bytes sent) --
-///                           drives the coordinator's failover/backoff paths
-///   fleet_slow_worker=P[:MS] a fleet forward attempt stalls MS ms (default
-///                           50) before sending -- drives request hedging
 ///
 /// P is a probability in [0,1]. Decisions are deterministic: the k-th trial
 /// at a site depends only on (seed, site, k), so a torture run replays
@@ -46,8 +41,6 @@ enum class Site : int {
   CacheWriteEnospc,
   CacheWriteEio,
   SchedStall,
-  FleetWorkerDown,
-  FleetSlowWorker,
   kCount
 };
 
@@ -86,13 +79,5 @@ int cache_write_error() noexcept;
 /// Scheduler worker hook: sleeps the configured stall when the SchedStall
 /// site fires. Call without holding locks.
 void maybe_stall();
-
-/// Fleet forward-attempt hooks (coordinator side). `worker_dead` rolls the
-/// FleetWorkerDown site: true = the attempt must fail without touching the
-/// network, as if the worker process were gone. `maybe_slow_worker` sleeps
-/// the configured FleetSlowWorker stall when that site fires (call without
-/// holding locks) -- the deterministic way to make a hedge timer expire.
-bool worker_dead() noexcept;
-void maybe_slow_worker();
 
 }  // namespace gia::serve::fault

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "geometry/units.hpp"
 #include "tech/material.hpp"
@@ -98,6 +99,10 @@ ThermalMesh build_thermal_mesh(const interposer::InterposerDesign& design,
       std::max(opts.board_margin_frac * std::max(ip.width(), ip.height()), 1500.0);
   const Rect extent = ip.inflated(margin);
 
+  if (opts.nx < 1 || opts.ny < 1) {
+    throw std::invalid_argument("thermal_mesh.nx and thermal_mesh.ny must be >= 1 (got " +
+                                std::to_string(opts.nx) + " x " + std::to_string(opts.ny) + ")");
+  }
   Builder b;
   b.mesh.nx = opts.nx;
   b.mesh.ny = opts.ny;

@@ -150,7 +150,7 @@ TEST(ArrangementTest, PlacedCountMismatchThrows) {
 TEST(SystemRequestTest, GoldenLegacyKeysUnchanged) {
   // Pinned from the pre-system-block schema: a default request must keep
   // hashing to these keys for every technology, or every cached result and
-  // golden file in the fleet is invalidated.
+  // golden file is invalidated.
   const std::pair<tech::TechnologyKind, std::uint64_t> golden[] = {
       {tech::TechnologyKind::Glass25D, 0x9a82f796b765df11ull},
       {tech::TechnologyKind::Glass3D, 0x64a5e42f644924d1ull},

@@ -486,6 +486,43 @@ TEST(DaemonRobustnessTest, EveryRejectionIsAccountedInStats) {
   EXPECT_EQ(st.scheduler.submitted, 0u);
 }
 
+// Grid dimensions below 1 once crashed giad (SIGSEGV for grid_nx:0 and for
+// thermal_mesh.nx:0 with thermal on) or leaked a libstdc++ message
+// (grid_nx:-3). Each must now fail only its own request, naming the knob.
+TEST(DaemonRobustnessTest, NonPositiveGridDimensionsFailTheRequestNotTheDaemon) {
+  serve::ServerOptions o = tight_options();
+  o.idle_timeout_ms = 120000;  // the thermal case runs three stages first
+  o.io_timeout_ms = 120000;
+  DaemonFixture d(o);
+  if (!d.ok) GTEST_SKIP() << "cannot bind loopback socket: " << d.err;
+
+  const struct {
+    const char* line;
+    const char* knob;
+  } cases[] = {
+      {"{\"flow_request\":{\"tech\":\"glass25d\",\"router\":{\"grid_nx\":0}},\"result\":false}",
+       "router.grid_nx"},
+      {"{\"flow_request\":{\"tech\":\"glass25d\",\"router\":{\"grid_nx\":-3}},\"result\":false}",
+       "router.grid_nx"},
+      {"{\"flow_request\":{\"with_thermal\":true,\"thermal_mesh\":{\"nx\":0}},\"result\":false}",
+       "thermal_mesh.nx"},
+  };
+  serve::Client::Options copts;
+  copts.io_timeout_ms = 120000;
+  for (const auto& c : cases) {
+    serve::Client client(copts);
+    std::string resp, err;
+    ASSERT_TRUE(client.connect(d.port(), &err)) << err;
+    ASSERT_TRUE(client.roundtrip(c.line, &resp, &err)) << c.line << ": " << err;
+    EXPECT_NE(resp.find("\"ok\":false"), std::string::npos) << resp;
+    EXPECT_NE(resp.find("\"status\":\"failed\""), std::string::npos) << resp;
+    EXPECT_NE(resp.find(c.knob), std::string::npos) << resp;
+    EXPECT_EQ(resp.find("_M_default_append"), std::string::npos) << resp;
+    expect_alive(d.port());
+  }
+  EXPECT_EQ(d.server.stats().scheduler.failed, std::size(cases));
+}
+
 TEST(DaemonRobustnessTest, SurvivesSocketFaultInjection) {
   serve::ServerOptions o = tight_options();
   o.idle_timeout_ms = 2000;

@@ -377,9 +377,12 @@ TEST(ServeSchedulerTest, DependenciesOrderExecutionAndCascadeCancellation) {
   const auto c = sched.submit(request_for(tech::TechnologyKind::Glass25D, 3), after_unknown);
   EXPECT_EQ(c.wait(), serve::JobTicket::Status::Done);
 
-  // Cancelling a held job cascades to its dependents.
+  // Cancelling a held job cascades to its dependents. Both workers are kept
+  // busy first, or an idle one could start d before the cancel lands.
   const auto blocker = sched.submit(request_for(tech::TechnologyKind::Glass25D, 4));
+  const auto blocker2 = sched.submit(request_for(tech::TechnologyKind::Glass25D, 7));
   wait_until_running(blocker);
+  wait_until_running(blocker2);
   const auto d = sched.submit(request_for(tech::TechnologyKind::Glass25D, 5));
   serve::JobScheduler::SubmitOptions after_d;
   after_d.after = {d.job_id()};
@@ -513,6 +516,61 @@ TEST(ServeDaemonTest, LoopbackProtocolSmoke) {
   EXPECT_EQ(st.flow_requests, 2u);
   EXPECT_EQ(st.scheduler.executed, 1u);
   EXPECT_GE(st.protocol_errors, 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Server flags (giad and giaflow serve)
+
+bool parse_flags(std::vector<const char*> argv, serve::ServerOptions* opts, std::string* err) {
+  return serve::parse_server_args(static_cast<int>(argv.size()), argv.data(), opts, err);
+}
+
+TEST(ServeArgsTest, AcceptsEveryFlag) {
+  serve::ServerOptions o;
+  std::string err;
+  ASSERT_TRUE(parse_flags({"--port", "0", "--workers", "3", "--conn-workers", "5",
+                           "--cache-capacity", "256", "--cache-dir", "-",
+                           "--idle-timeout-ms", "1500", "--io-timeout-ms", "0",
+                           "--max-conn-ms", "9000", "--max-line-bytes", "4096",
+                           "--max-search-points", "0", "--max-active-searches", "4",
+                           "--max-search-ms", "60000"},
+                          &o, &err))
+      << err;
+  EXPECT_EQ(o.port, 0);
+  EXPECT_EQ(o.scheduler_workers, 3);
+  EXPECT_EQ(o.connection_workers, 5);
+  EXPECT_EQ(o.cache_capacity, 256u);
+  EXPECT_EQ(o.cache_dir, "-");
+  EXPECT_EQ(o.idle_timeout_ms, 1500);
+  EXPECT_EQ(o.io_timeout_ms, 0);
+  EXPECT_EQ(o.max_connection_ms, 9000);
+  EXPECT_EQ(o.max_line_bytes, 4096u);
+  EXPECT_EQ(o.max_search_points, 0u);
+  EXPECT_EQ(o.max_active_searches, 4);
+  EXPECT_EQ(o.max_search_ms, 60000);
+
+  serve::ServerOptions defaults;
+  EXPECT_TRUE(parse_flags({}, &defaults, &err));
+  EXPECT_EQ(defaults.port, serve::ServerOptions().port);
+}
+
+TEST(ServeArgsTest, RejectsUnknownFlagsAndMalformedNumbers) {
+  const std::vector<std::vector<const char*>> bad = {
+      {"--frobnicate"},                // unknown flag
+      {"--port", "abc"},               // non-numeric (atoi would bind port 0)
+      {"--port", "7411x"},             // trailing garbage
+      {"--port", "70000"},             // out of range
+      {"--workers", "0"},              // below the minimum
+      {"--idle-timeout-ms", "-1"},     // negative
+      {"--cache-capacity", ""},        // empty token
+      {"--max-conn-ms"},               // missing value
+  };
+  for (const auto& argv : bad) {
+    serve::ServerOptions o;
+    std::string err;
+    EXPECT_FALSE(parse_flags(argv, &o, &err)) << argv[0];
+    EXPECT_NE(err.find(argv[0]), std::string::npos) << err;
+  }
 }
 
 }  // namespace
