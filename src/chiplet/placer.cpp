@@ -6,39 +6,20 @@
 #include <stdexcept>
 #include <unordered_map>
 
+#include "core/instrument.hpp"
+
 namespace gia::chiplet {
-namespace {
+
+namespace instrument = core::instrument;
 
 using geometry::Point;
 using geometry::Rect;
-
-/// Incrementally maintained bounding box of a net's terminal positions.
-struct NetBox {
-  double lx = 0, ly = 0, ux = 0, uy = 0;
-  int bits = 1;
-  double hpwl() const { return (ux - lx) + (uy - ly); }
-};
-
-NetBox box_of(const std::vector<Point>& pts, int bits) {
-  NetBox b;
-  b.bits = bits;
-  b.lx = b.ux = pts.front().x;
-  b.ly = b.uy = pts.front().y;
-  for (const auto& p : pts) {
-    b.lx = std::min(b.lx, p.x);
-    b.ux = std::max(b.ux, p.x);
-    b.ly = std::min(b.ly, p.y);
-    b.uy = std::max(b.uy, p.y);
-  }
-  return b;
-}
-
-}  // namespace
 
 PlacementResult place_clusters(const netlist::Netlist& nl, const std::vector<int>& instance_ids,
                                const std::vector<int>& net_ids, const geometry::Rect& die,
                                const std::vector<std::pair<int, geometry::Point>>& fixed_terminals,
                                const PlacerOptions& opts) {
+  GIA_SPAN("chiplet/place");
   if (instance_ids.empty()) throw std::invalid_argument("nothing to place");
   const int n = static_cast<int>(instance_ids.size());
 
@@ -95,10 +76,22 @@ PlacementResult place_clusters(const netlist::Netlist& nl, const std::vector<int
     nets.push_back(std::move(info));
   }
 
+  // Bounding box over the pinned, then the movable terminals, seeded with
+  // the first of them. Min/max is exact, so the visiting order cannot change
+  // the box; the seed and order match a box over one concatenated list.
   auto net_hpwl = [&](const NetInfo& info) {
-    std::vector<Point> pts = info.pinned;
-    for (int m : info.movable) pts.push_back(pos[static_cast<std::size_t>(m)]);
-    return box_of(pts, info.bits).hpwl() * info.bits;
+    const Point& first =
+        info.pinned.empty() ? pos[static_cast<std::size_t>(info.movable.front())] : info.pinned.front();
+    double lx = first.x, ux = first.x, ly = first.y, uy = first.y;
+    const auto extend = [&](const Point& p) {
+      lx = std::min(lx, p.x);
+      ux = std::max(ux, p.x);
+      ly = std::min(ly, p.y);
+      uy = std::max(uy, p.y);
+    };
+    for (const Point& p : info.pinned) extend(p);
+    for (int m : info.movable) extend(pos[static_cast<std::size_t>(m)]);
+    return ((ux - lx) + (uy - ly)) * info.bits;
   };
   auto cost_of = [&](const std::vector<int>& affected) {
     double c = 0;
@@ -120,13 +113,15 @@ PlacementResult place_clusters(const netlist::Netlist& nl, const std::vector<int
   const int total_moves = opts.moves_per_cluster * n;
   const int moves_per_stage = std::max(64, total_moves / 40);
 
+  std::vector<int> affected;  // scratch reused by every move
+  int accepts = 0;
   for (int mv = 0; mv < total_moves; ++mv) {
     const int a = pick(rng);
     const bool do_swap = unif(rng) < 0.5 && n > 1;
     int b = -1;
     Point old_a = pos[static_cast<std::size_t>(a)];
     Point old_b;
-    std::vector<int> affected = nets_of[static_cast<std::size_t>(a)];
+    affected = nets_of[static_cast<std::size_t>(a)];
     if (do_swap) {
       do { b = pick(rng); } while (b == a);
       old_b = pos[static_cast<std::size_t>(b)];
@@ -145,12 +140,17 @@ PlacementResult place_clusters(const netlist::Netlist& nl, const std::vector<int
     const double delta = after - before;
     if (delta <= 0 || unif(rng) < std::exp(-delta / temp)) {
       total += delta;
+      ++accepts;
     } else {
       pos[static_cast<std::size_t>(a)] = old_a;
       if (do_swap) pos[static_cast<std::size_t>(b)] = old_b;
     }
     if ((mv + 1) % moves_per_stage == 0) temp *= opts.cooling;
   }
+
+  instrument::counter_add(instrument::Counter::PlacerMoves,
+                          static_cast<std::uint64_t>(std::max(0, total_moves)));
+  instrument::counter_add(instrument::Counter::PlacerAccepts, static_cast<std::uint64_t>(accepts));
 
   PlacementResult out;
   out.region = region;

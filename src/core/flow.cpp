@@ -8,8 +8,8 @@ namespace gia::core {
 
 TechnologyResult run_full_flow(tech::TechnologyKind kind, const FlowOptions& opts) {
   // The flow itself lives in core/stagegraph.cpp as an explicit stage DAG
-  // (per-stage content addresses, artifact cache, stage-parallel waves);
-  // this entry point is the DAG execution plus run accounting.
+  // (per-stage content addresses, artifact cache, dependency-driven stage
+  // scheduling); this entry point is the DAG execution plus run accounting.
   GIA_SPAN("flow/full_flow");
   instrument::counter_add(instrument::Counter::FlowRuns);
   return stage::execute_flow(kind, opts);

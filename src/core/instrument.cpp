@@ -33,7 +33,9 @@ constexpr const char* kCounterNames[kNumCounters] = {
     "stage_cache_hits",      "stage_cache_misses",
     "krylov_iterations",     "mg_vcycles",
     "dse_points_evaluated",  "dse_front_updates",
-    "dse_cache_assisted_points",
+    "dse_cache_assisted_points", "router_expansions",
+    "router_reroutes",       "placer_moves",
+    "placer_accepts",
 };
 
 struct SpanNode {

@@ -64,6 +64,10 @@ enum class Counter : int {
   DseFrontUpdates,        ///< Pareto-front versions published by dse:: searches
   DseCacheAssistedPoints, ///< dse points served with result-cache / coalesce /
                           ///  resident-stage-artifact help
+  RouterExpansions,       ///< A* nodes expanded by the interposer grid router
+  RouterReroutes,         ///< nets ripped up and rerouted (or layer-rebalanced)
+  PlacerMoves,            ///< simulated-annealing moves tried by the cluster placer
+  PlacerAccepts,          ///< placer moves accepted
   kCount
 };
 

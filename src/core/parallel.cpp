@@ -1,14 +1,18 @@
 #include "core/parallel.hpp"
 
 #include <atomic>
-
-#include "core/instrument.hpp"
 #include <condition_variable>
 #include <cstdlib>
+#include <deque>
 #include <exception>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
+#include <string>
 #include <thread>
+
+#include "core/instrument.hpp"
 
 namespace gia::core {
 
@@ -71,6 +75,16 @@ class Pool {
 
   int workers() const { return static_cast<int>(threads_.size()); }
 
+  /// Queue one independent task; the first idle worker runs it. Tasks must
+  /// not block waiting for other tasks (run_dag's never do).
+  void submit(std::function<void()> task) {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      tasks_.push_back(std::move(task));
+    }
+    cv_.notify_one();
+  }
+
   void run(Job& job) {
     {
       std::lock_guard<std::mutex> lk(mu_);
@@ -94,21 +108,32 @@ class Pool {
     std::uint64_t seen = 0;
     for (;;) {
       Job* job = nullptr;
+      std::function<void()> task;
       {
         std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait(lk, [&] { return stop_ || gen_ != seen; });
+        cv_.wait(lk, [&] { return stop_ || gen_ != seen || !tasks_.empty(); });
         if (stop_) return;
-        seen = gen_;
-        job = job_;
-        // Register under the lock only while work remains: once all chunks
-        // are claimed the caller may wake and destroy the job, so a late
-        // worker must not touch it.
-        if (job == nullptr || job->next.load(std::memory_order_relaxed) >= job->n_chunks) {
-          continue;
+        if (!tasks_.empty()) {
+          task = std::move(tasks_.front());
+          tasks_.pop_front();
+        } else {
+          seen = gen_;
+          job = job_;
+          // Register under the lock only while work remains: once all chunks
+          // are claimed the caller may wake and destroy the job, so a late
+          // worker must not touch it.
+          if (job == nullptr || job->next.load(std::memory_order_relaxed) >= job->n_chunks) {
+            continue;
+          }
+          job->active.fetch_add(1, std::memory_order_relaxed);
         }
-        job->active.fetch_add(1, std::memory_order_relaxed);
       }
       t_in_parallel_region = true;
+      if (task) {
+        task();
+        t_in_parallel_region = false;
+        continue;
+      }
       {
         instrument::ContextScope span_ctx(job->span_ctx);
         job->run_chunks();
@@ -127,8 +152,86 @@ class Pool {
   std::condition_variable cv_;
   std::condition_variable cv_done_;
   Job* job_ = nullptr;
+  std::deque<std::function<void()>> tasks_;
   std::uint64_t gen_ = 0;
   bool stop_ = false;
+};
+
+/// One run_dag invocation. Shared (not stack-owned) because a queued pool
+/// task may outlive the call: the caller can run the node a task was posted
+/// for, and the late task then finds nothing ready and returns untouched.
+struct Dag : std::enable_shared_from_this<Dag> {
+  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
+
+  const std::function<void(std::size_t)>* fn = nullptr;
+  void* span_ctx = nullptr;  ///< caller's open span, adopted by workers
+  Pool* pool = nullptr;
+  std::vector<std::vector<std::size_t>> dependents;
+  std::vector<std::size_t> pending;  ///< unfinished dependencies per node
+  std::vector<char> blocked;         ///< a dependency failed or was skipped
+  std::vector<std::size_t> ready;    ///< dependencies met, not yet claimed
+  std::size_t settled = 0;           ///< nodes run or skipped
+  std::size_t failed_node = kNone;
+  std::exception_ptr eptr;
+  std::mutex mu;
+  std::condition_variable cv;  ///< wakes the caller: new ready node or done
+
+  /// Run ready nodes until none is left, then return; never waits for a
+  /// node another thread is running. Each finished node releases its
+  /// dependents: this thread keeps one and posts the rest to the pool.
+  void work(std::unique_lock<std::mutex>& lk) {
+    while (!ready.empty()) {
+      // Lowest index first: registry order when several nodes are ready.
+      const auto it = std::min_element(ready.begin(), ready.end());
+      const std::size_t i = *it;
+      ready.erase(it);
+      lk.unlock();
+      std::exception_ptr e;
+      try {
+        (*fn)(i);
+      } catch (...) {
+        e = std::current_exception();
+      }
+      lk.lock();
+      // The lowest failing node's exception wins, as in a serial run.
+      if (e && i < failed_node) {
+        failed_node = i;
+        eptr = e;
+      }
+      const std::size_t before = ready.size();
+      settle(i, e != nullptr);
+      const std::size_t fresh = ready.size() - before;
+      for (std::size_t k = 1; k < fresh; ++k) post();
+      if (fresh > 0 || settled == pending.size()) cv.notify_all();
+    }
+  }
+
+  /// Mark `i` finished (`bad`: failed or skipped) and release dependents;
+  /// a dependent of a bad node is skipped without running.
+  void settle(std::size_t i, bool bad) {
+    ++settled;
+    for (const std::size_t d : dependents[i]) {
+      if (bad) blocked[d] = 1;
+      if (--pending[d] == 0) {
+        if (blocked[d] != 0) {
+          settle(d, true);
+        } else {
+          ready.push_back(d);
+        }
+      }
+    }
+  }
+
+  /// Hand one ready node to the pool. The task keeps the Dag alive; it
+  /// touches `fn` only if it claims a node, and an unfinished node keeps
+  /// the caller (and so `fn`) inside run_dag.
+  void post() {
+    pool->submit([self = shared_from_this()] {
+      instrument::ContextScope ctx(self->span_ctx);
+      std::unique_lock<std::mutex> lk(self->mu);
+      self->work(lk);
+    });
+  }
 };
 
 int env_thread_count() {
@@ -216,6 +319,67 @@ void parallel_for_chunked(std::size_t n, std::size_t grain,
     const std::size_t begin = c * grain;
     fn(begin, std::min(n, begin + grain));
   });
+}
+
+void run_dag(std::size_t n, const std::vector<std::vector<std::size_t>>& deps,
+             const std::function<void(std::size_t)>& fn) {
+  if (deps.size() != n) throw std::invalid_argument("run_dag: deps.size() != n");
+  for (std::size_t i = 0; i < n; ++i) {
+    for (const std::size_t d : deps[i]) {
+      if (d >= i) {
+        throw std::invalid_argument("run_dag: node " + std::to_string(i) +
+                                    " depends on node " + std::to_string(d) +
+                                    "; dependencies must have lower indices");
+      }
+    }
+  }
+  if (n == 0) return;
+
+  Pool* pool = t_in_parallel_region ? nullptr : state().acquire();
+  if (pool == nullptr) {
+    // Serial: index order is a topological order.
+    std::vector<char> bad(n, 0);
+    std::exception_ptr eptr;
+    for (std::size_t i = 0; i < n; ++i) {
+      bad[i] = std::any_of(deps[i].begin(), deps[i].end(), [&](std::size_t d) { return bad[d] != 0; });
+      if (bad[i] != 0) continue;
+      try {
+        fn(i);
+      } catch (...) {
+        bad[i] = 1;
+        if (!eptr) eptr = std::current_exception();
+      }
+    }
+    if (eptr) std::rethrow_exception(eptr);
+    return;
+  }
+
+  auto dag = std::make_shared<Dag>();
+  dag->fn = &fn;
+  dag->span_ctx = instrument::current_context();
+  dag->pool = pool;
+  dag->dependents.resize(n);
+  dag->pending.resize(n);
+  dag->blocked.assign(n, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    dag->pending[i] = deps[i].size();
+    for (const std::size_t d : deps[i]) dag->dependents[d].push_back(i);
+    if (deps[i].empty()) dag->ready.push_back(i);
+  }
+
+  // The caller keeps one ready node, posts the rest, then runs whatever
+  // becomes ready until every node has run or been skipped.
+  t_in_parallel_region = true;
+  std::unique_lock<std::mutex> lk(dag->mu);
+  for (std::size_t k = 1; k < dag->ready.size(); ++k) dag->post();
+  for (;;) {
+    dag->work(lk);
+    if (dag->settled == n) break;
+    dag->cv.wait(lk);
+  }
+  lk.unlock();
+  t_in_parallel_region = false;
+  if (dag->eptr) std::rethrow_exception(dag->eptr);
 }
 
 }  // namespace gia::core

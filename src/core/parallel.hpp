@@ -8,8 +8,9 @@
 /// \file parallel.hpp
 /// Dependency-free parallel execution layer: a lazily-started std::thread
 /// pool exposed through `parallel_for` (static chunking over an index
-/// range), `parallel_for_chunked` (caller-visible fixed chunk grid), and
-/// `ordered_reduce` (per-chunk partials combined in chunk order).
+/// range), `parallel_for_chunked` (caller-visible fixed chunk grid),
+/// `ordered_reduce` (per-chunk partials combined in chunk order), and
+/// `run_dag` (dependency-driven execution of a small task graph).
 ///
 /// Determinism contract: every helper produces byte-identical results at
 /// any thread count. `parallel_for` bodies must write disjoint state per
@@ -47,6 +48,28 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 /// reproducible.
 void parallel_for_chunked(std::size_t n, std::size_t grain,
                           const std::function<void(std::size_t, std::size_t)>& fn);
+
+/// Run the nodes of a dependency graph: `fn(i)` for every i in [0, n),
+/// where node i starts as soon as every node listed in `deps[i]` has
+/// finished. Every dependency must have a lower index than its dependent
+/// (index order is then a topological order); std::invalid_argument
+/// otherwise.
+///
+/// Scheduling: the caller runs nodes too. The thread that finishes a node
+/// releases its dependents, keeps one and hands the others to the pool as
+/// independent tasks, so no pool worker ever waits inside `fn` for another
+/// node -- a graph never holds workers idle, and concurrent graphs (several
+/// flows in one daemon) share the pool. Among several ready nodes a thread
+/// takes the lowest index. Nodes run with nested parallel calls inline, as
+/// `parallel_for` bodies do. With one thread, or when called from inside a
+/// parallel region, the nodes run inline in index order.
+///
+/// Failure: a node that throws is recorded; its transitive dependents are
+/// skipped (never started) while independent nodes still run, so the same
+/// set of nodes runs at any thread count. When everything has run or been
+/// skipped, the exception of the lowest-index failing node is rethrown.
+void run_dag(std::size_t n, const std::vector<std::vector<std::size_t>>& deps,
+             const std::function<void(std::size_t)>& fn);
 
 /// Deterministic ordered reduction: partition [0, n) into fixed chunks of
 /// `grain`, evaluate `chunk(begin, end) -> T` concurrently, then fold the

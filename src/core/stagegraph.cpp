@@ -563,29 +563,19 @@ ArtifactPtr run_stage(const Ctx& c, StageId id) {
   throw std::logic_error("unknown stage");
 }
 
-/// Execution waves: stages grouped by dependency depth. Within a wave every
-/// stage's inputs are complete, so the wave runs through core/parallel.
-std::vector<std::vector<StageId>> make_waves() {
-  std::array<int, kStageCount> depth{};
-  int max_depth = 0;
-  for (const StageInfo& si : kRegistry) {  // registry order is topological
-    int d = 0;
-    for (int i = 0; i < si.dep_count; ++i) {
-      d = std::max(d, depth[static_cast<std::size_t>(idx(si.deps[static_cast<std::size_t>(i)]))] + 1);
+/// The registry's dependency lists as `run_dag` node indices.
+const std::vector<std::vector<std::size_t>>& stage_deps() {
+  static const std::vector<std::vector<std::size_t>> deps = [] {
+    std::vector<std::vector<std::size_t>> d(kStageCount);
+    for (const StageInfo& si : kRegistry) {
+      for (int i = 0; i < si.dep_count; ++i) {
+        d[static_cast<std::size_t>(idx(si.id))].push_back(
+            static_cast<std::size_t>(idx(si.deps[static_cast<std::size_t>(i)])));
+      }
     }
-    depth[static_cast<std::size_t>(idx(si.id))] = d;
-    max_depth = std::max(max_depth, d);
-  }
-  std::vector<std::vector<StageId>> waves(static_cast<std::size_t>(max_depth + 1));
-  for (const StageInfo& si : kRegistry) {
-    waves[static_cast<std::size_t>(depth[static_cast<std::size_t>(idx(si.id))])].push_back(si.id);
-  }
-  return waves;
-}
-
-const std::vector<std::vector<StageId>>& waves() {
-  static const std::vector<std::vector<StageId>> w = make_waves();
-  return w;
+    return d;
+  }();
+  return deps;
 }
 
 }  // namespace
@@ -656,21 +646,15 @@ TechnologyResult execute_flow(tech::TechnologyKind kind, const FlowOptions& opts
     }
   }
   Ctx c{kind, opts, compute_stage_keys(kind, opts), {}};
-  for (const auto& wave : waves()) {
-    const auto run_one = [&](std::size_t wi) {
-      const StageId id = wave[wi];
-      instrument::ScopedSpan span(info(id).span_name);
-      StageRunRecord::Outcome oc;
-      c.art[static_cast<std::size_t>(idx(id))] =
-          cache().get_or_compute(id, c.keys.of(id), &oc, [&] { return run_stage(c, id); });
-      if (record != nullptr) record->outcome[static_cast<std::size_t>(idx(id))] = oc;
-    };
-    if (wave.size() == 1) {
-      run_one(0);
-    } else {
-      parallel_for(wave.size(), run_one);
-    }
-  }
+  // Each stage starts as soon as its own inputs exist; a stage writes only
+  // its own artifact slot and reads only finished dependencies' slots.
+  run_dag(kStageCount, stage_deps(), [&](std::size_t i) {
+    const StageId id = kRegistry[i].id;
+    instrument::ScopedSpan span(info(id).span_name);
+    StageRunRecord::Outcome oc;
+    c.art[i] = cache().get_or_compute(id, c.keys.of(id), &oc, [&] { return run_stage(c, id); });
+    if (record != nullptr) record->outcome[i] = oc;
+  });
 
   TechnologyResult r;
   r.technology = tech::make_technology(kind);

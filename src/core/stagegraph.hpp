@@ -36,11 +36,15 @@
 /// unset = enabled with the default capacity, "0"/"off" = disabled, a
 /// positive integer = enabled with that capacity.
 ///
-/// Stages whose dependencies are satisfied in the same wave run
-/// concurrently through `core/parallel` (`chiplet_pnr` ∥ `interposer`,
-/// then `links` ∥ `pdn` ∥ `thermal`), preserving the repo-wide determinism
-/// contract: output is byte-identical at any thread count and with the
-/// cache on or off.
+/// The executor hands the registry to `core::run_dag`: each stage starts as
+/// soon as its own dependencies finish, not when a whole dependency level
+/// does. `chiplet_pnr` runs beside the whole interposer subtree, and `links`,
+/// `pdn` and `thermal` start the moment `interposer` is done, as does `eyes`
+/// once `links` is. A failing stage's dependents never start (its
+/// exception is rethrown after the independent stages finish). Every stage
+/// reads only finished upstream artifacts and writes only its own, so the
+/// repo-wide determinism contract holds: output is byte-identical at any
+/// thread count and with the cache on or off.
 
 namespace gia::core::stage {
 

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "core/instrument.hpp"
 #include "interposer/arrangement.hpp"
 #include "interposer/floorplanner.hpp"
 #include "tech/library.hpp"
@@ -46,7 +47,10 @@ InterposerDesign build_interposer_design(tech::TechnologyKind kind, const Chiple
   d.plans = chiplet::plan_chiplet_pair(inputs.logic_signal_ios, inputs.memory_signal_ios,
                                        inputs.logic_cell_area_um2, inputs.memory_cell_area_um2,
                                        d.technology);
-  d.floorplan = place_dies(d.technology, d.plans.logic, d.plans.memory, fp_opts);
+  {
+    GIA_SPAN("interposer/floorplan");
+    d.floorplan = place_dies(d.technology, d.plans.logic, d.plans.memory, fp_opts);
+  }
   // Net counts follow the partition: every memory signal is an intra-tile
   // L2M net; the logic die's remaining signals are the inter-tile bundle.
   // Unconventional partitions (flattened FM at odd balance points) can give
@@ -95,13 +99,16 @@ InterposerDesign build_system_design(tech::TechnologyKind kind,
         ios, inputs.cell_area_um2[static_cast<std::size_t>(i)] * sys.die_scale_of(i),
         sys.memory_class(i), d.technology));
   }
-  // Floorplan arrangements anneal against the partition's pair-cut demands;
-  // the lattice arrangements are demand-oblivious.
-  auto arr = sys.arrangement == chiplet::Arrangement::Floorplan
-                 ? floorplan_chiplets(d.technology, sys, d.chiplet_plans, inputs.pairs, fp_opts)
-                 : arrange_chiplets(d.technology, sys, d.chiplet_plans, fp_opts);
-  d.floorplan = std::move(arr.floorplan);
-  d.adjacency = std::move(arr.adjacency);
+  {
+    // Floorplan arrangements anneal against the partition's pair-cut
+    // demands; the lattice arrangements are demand-oblivious.
+    GIA_SPAN("interposer/floorplan");
+    auto arr = sys.arrangement == chiplet::Arrangement::Floorplan
+                   ? floorplan_chiplets(d.technology, sys, d.chiplet_plans, inputs.pairs, fp_opts)
+                   : arrange_chiplets(d.technology, sys, d.chiplet_plans, fp_opts);
+    d.floorplan = std::move(arr.floorplan);
+    d.adjacency = std::move(arr.adjacency);
+  }
 
   d.top_nets = assign_system_nets(d.floorplan, inputs.pairs);
 

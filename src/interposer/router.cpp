@@ -2,16 +2,20 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <queue>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "core/instrument.hpp"
 #include "geometry/polygon.hpp"
 #include "geometry/predicates.hpp"
 
 namespace gia::interposer {
+
+namespace instrument = core::instrument;
 
 using geometry::Point;
 using geometry::Polyline;
@@ -33,7 +37,8 @@ struct GridCtx {
   std::size_t idx(int x, int y, int l) const {
     return (static_cast<std::size_t>(l) * ny + y) * nx + x;
   }
-  std::size_t size() const { return static_cast<std::size_t>(nx) * ny * layers; }
+  std::size_t plane() const { return static_cast<std::size_t>(nx) * ny; }
+  std::size_t size() const { return plane() * layers; }
 };
 
 struct Move {
@@ -41,21 +46,42 @@ struct Move {
   double base_cost;  ///< um-equivalent
 };
 
-/// One net's routing workspace shared across passes.
+using QEntry = std::pair<double, std::size_t>;  // (f = cost + h, node)
+
+/// The routing workspace shared by every net and pass.
 struct Workspace {
   GridCtx g;
   const RouterOptions* opts = nullptr;
+  /// Track capacity per (x, y) footprint: every layer of a cell has the
+  /// same, so one plane serves the whole grid.
   std::vector<double> capacity;
   std::vector<double> usage;
+  /// Congestion cost multiplier per cell; add_usage keeps it in step with
+  /// `usage` so the search reads it instead of recomputing it per edge.
+  std::vector<double> congestion;
   std::vector<std::vector<Move>> layer_moves;
+  // A* scratch reused by every net. A cell's dist/prev belong to the
+  // current search only when its stamp equals `search`; starting a search
+  // bumps `search` instead of clearing the grid.
   std::vector<double> dist;
   std::vector<int> prev;
+  std::vector<std::uint32_t> stamp;
+  std::uint32_t search = 0;
+  std::vector<QEntry> open;  ///< A* open list, a min-heap on (f, node)
+  std::vector<std::size_t> chain;
+
+  double capacity_of(std::size_t node) const { return capacity[node % g.plane()]; }
 
   double congestion_cost(std::size_t node) const {
-    const double u = usage[node] / capacity[node];
+    const double u = usage[node] / capacity_of(node);
     double mult = 1.0 + opts->congestion_weight * u * u;
     if (u >= 1.0) mult += opts->overflow_penalty * (u - 1.0 + 0.05);
     return mult;
+  }
+
+  void add_usage(std::size_t node, double demand) {
+    usage[node] += demand;
+    congestion[node] = congestion_cost(node);
   }
 };
 
@@ -72,10 +98,25 @@ void route_one(Workspace& ws, const TopNet& net, RoutedNet& rn,
   const int ax = g.cell_of_x(net.a.x), ay = g.cell_of_y(net.a.y);
   const int bx = g.cell_of_x(net.b.x), by = g.cell_of_y(net.b.y);
 
-  std::fill(ws.dist.begin(), ws.dist.end(), std::numeric_limits<double>::infinity());
-  std::fill(ws.prev.begin(), ws.prev.end(), -1);
-  using QEntry = std::pair<double, std::size_t>;  // (f = cost + h, node)
-  std::priority_queue<QEntry, std::vector<QEntry>, std::greater<>> pq;
+  if (++ws.search == 0) {  // stamp wrap-around: forget every older search
+    std::fill(ws.stamp.begin(), ws.stamp.end(), 0u);
+    ws.search = 1;
+  }
+  const std::uint32_t search = ws.search;
+  const auto dist_of = [&](std::size_t n) {
+    return ws.stamp[n] == search ? ws.dist[n] : std::numeric_limits<double>::infinity();
+  };
+  const auto set_dist = [&](std::size_t n, double d, int from) {
+    ws.dist[n] = d;
+    ws.prev[n] = from;
+    ws.stamp[n] = search;
+  };
+  auto& open = ws.open;
+  open.clear();
+  const auto push = [&](QEntry e) {
+    open.push_back(e);
+    std::push_heap(open.begin(), open.end(), std::greater<>());
+  };
   auto heuristic = [&](int x, int y) {
     return std::abs(x - bx) * dw * 0.999 + std::abs(y - by) * dh * 0.999;
   };
@@ -83,20 +124,23 @@ void route_one(Workspace& ws, const TopNet& net, RoutedNet& rn,
   for (int l = 0; l < g.layers; ++l) {
     const std::size_t s = g.idx(ax, ay, l);
     const double c = (l + 1) * opts.via_cost_um;
-    if (c < ws.dist[s]) {
-      ws.dist[s] = c;
-      pq.push({c + heuristic(ax, ay), s});
+    if (c < dist_of(s)) {
+      set_dist(s, c, -1);
+      push({c + heuristic(ax, ay), s});
     }
   }
   std::size_t goal = std::numeric_limits<std::size_t>::max();
-  while (!pq.empty()) {
-    const auto [f, node] = pq.top();
-    pq.pop();
+  std::uint64_t expanded = 0;
+  while (!open.empty()) {
+    std::pop_heap(open.begin(), open.end(), std::greater<>());
+    const auto [f, node] = open.back();
+    open.pop_back();
     const int l = static_cast<int>(node / (static_cast<std::size_t>(g.nx) * g.ny));
     const int rem = static_cast<int>(node % (static_cast<std::size_t>(g.nx) * g.ny));
     const int y = rem / g.nx, x = rem % g.nx;
     const double d = ws.dist[node];
     if (f - heuristic(x, y) > d + 1e-9) continue;  // stale entry
+    ++expanded;
     if (x == bx && y == by) {
       goal = node;
       break;
@@ -105,20 +149,21 @@ void route_one(Workspace& ws, const TopNet& net, RoutedNet& rn,
       const int nx2 = x + mv.dx, ny2 = y + mv.dy, nl = l + mv.dl;
       if (nx2 < 0 || nx2 >= g.nx || ny2 < 0 || ny2 >= g.ny || nl < 0 || nl >= g.layers) continue;
       const std::size_t nn = g.idx(nx2, ny2, nl);
-      const double step = mv.dl != 0 ? mv.base_cost : mv.base_cost * ws.congestion_cost(nn);
-      if (d + step < ws.dist[nn] - 1e-12) {
-        ws.dist[nn] = d + step;
-        ws.prev[nn] = static_cast<int>(node);
-        pq.push({ws.dist[nn] + heuristic(nx2, ny2), nn});
+      const double step = mv.dl != 0 ? mv.base_cost : mv.base_cost * ws.congestion[nn];
+      if (d + step < dist_of(nn) - 1e-12) {
+        set_dist(nn, d + step, static_cast<int>(node));
+        push({ws.dist[nn] + heuristic(nx2, ny2), nn});
       }
     }
   }
+  instrument::counter_add(instrument::Counter::RouterExpansions, expanded);
   if (goal == std::numeric_limits<std::size_t>::max()) {
     throw std::runtime_error("unroutable net " + net.name);
   }
 
   // Recover the path, accumulate usage, build the polyline.
-  std::vector<std::size_t> chain;
+  auto& chain = ws.chain;
+  chain.clear();
   for (std::size_t n = goal;;) {
     chain.push_back(n);
     const int p = ws.prev[n];
@@ -145,11 +190,11 @@ void route_one(Workspace& ws, const TopNet& net, RoutedNet& rn,
         ++vias;
       } else {
         lateral += std::hypot((x - prev_x) * dw, (y - prev_y) * dh);
-        ws.usage[n] += track_demand;
+        ws.add_usage(n, track_demand);
         cells.push_back(n);
       }
     } else {
-      ws.usage[n] += track_demand;
+      ws.add_usage(n, track_demand);
       cells.push_back(n);
     }
     path.append({g.x_of(x), g.y_of(y)}, l);
@@ -253,7 +298,7 @@ void book_any_angle(Workspace& ws, const std::vector<Point>& path, int layer, do
   }
   std::sort(cells.begin(), cells.end());
   cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-  for (std::size_t c : cells) ws.usage[c] += demand;
+  for (std::size_t c : cells) ws.add_usage(c, demand);
 }
 
 /// Route one net any-angle on `layer`. Returns false when the visibility
@@ -345,7 +390,7 @@ void rebalance_layer(Workspace& ws, RoutedNet& rn, std::vector<std::size_t>& cel
                      double demand) {
   if (cells.empty()) return;
   const auto& g = ws.g;
-  const std::size_t plane = static_cast<std::size_t>(g.nx) * g.ny;
+  const std::size_t plane = g.plane();
   std::vector<std::size_t> foot(cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) foot[i] = cells[i] % plane;
   int best_l = 0;
@@ -354,7 +399,7 @@ void rebalance_layer(Workspace& ws, RoutedNet& rn, std::vector<std::size_t>& cel
     double over = 0;
     for (std::size_t f : foot) {
       const std::size_t n = static_cast<std::size_t>(l) * plane + f;
-      over += std::max(0.0, ws.usage[n] + demand - ws.capacity[n]);
+      over += std::max(0.0, ws.usage[n] + demand - ws.capacity[f]);
     }
     if (over < best_over) {
       best_over = over;
@@ -363,7 +408,7 @@ void rebalance_layer(Workspace& ws, RoutedNet& rn, std::vector<std::size_t>& cel
   }
   for (std::size_t i = 0; i < cells.size(); ++i) {
     cells[i] = static_cast<std::size_t>(best_l) * plane + foot[i];
-    ws.usage[cells[i]] += demand;
+    ws.add_usage(cells[i], demand);
   }
   Polyline moved;
   for (const auto& pp : rn.path.points()) moved.append(pp.p, best_l);
@@ -375,6 +420,7 @@ void rebalance_layer(Workspace& ws, RoutedNet& rn, std::vector<std::size_t>& cel
 
 RouteResult route_interposer(const tech::Technology& tech, const InterposerFloorplan& fp,
                              const std::vector<TopNet>& nets, const RouterOptions& opts) {
+  GIA_SPAN("interposer/route");
   if (opts.grid_nx < 1 || opts.grid_ny < 1) {
     throw std::invalid_argument("router.grid_nx and router.grid_ny must be >= 1 (got " +
                                 std::to_string(opts.grid_nx) + " x " +
@@ -399,21 +445,19 @@ RouteResult route_interposer(const tech::Technology& tech, const InterposerFloor
   // Capacity per cell per layer (track count crossing the cell), derated
   // under dies where bump breakouts consume resources.
   const double pitch = tech.rules.min_wire_width_um + tech.rules.min_wire_space_um;
-  ws.capacity.resize(g.size());
+  ws.capacity.resize(g.plane());
   ws.usage.assign(g.size(), 0.0);
-  for (int l = 0; l < g.layers; ++l) {
-    for (int y = 0; y < g.ny; ++y) {
-      for (int x = 0; x < g.nx; ++x) {
-        double cap = opts.usable_track_fraction * std::min(g.cell_w, g.cell_h) / pitch;
-        const Point center{g.x_of(x), g.y_of(y)};
-        for (const auto& die : fp.dies) {
-          if (!die.embedded && die.outline.contains(center)) {
-            cap *= opts.die_capacity_factor;
-            break;
-          }
+  for (int y = 0; y < g.ny; ++y) {
+    for (int x = 0; x < g.nx; ++x) {
+      double cap = opts.usable_track_fraction * std::min(g.cell_w, g.cell_h) / pitch;
+      const Point center{g.x_of(x), g.y_of(y)};
+      for (const auto& die : fp.dies) {
+        if (!die.embedded && die.outline.contains(center)) {
+          cap *= opts.die_capacity_factor;
+          break;
         }
-        ws.capacity[g.idx(x, y, l)] = std::max(cap, 0.5);
       }
+      ws.capacity[g.idx(x, y, 0)] = std::max(cap, 0.5);
     }
   }
 
@@ -443,8 +487,11 @@ RouteResult route_interposer(const tech::Technology& tech, const InterposerFloor
     mv.push_back({0, 0, -1, opts.via_cost_um});
     ws.layer_moves.push_back(std::move(mv));
   }
+  ws.congestion.resize(g.size());
+  for (std::size_t n = 0; n < g.size(); ++n) ws.congestion[n] = ws.congestion_cost(n);
   ws.dist.resize(g.size());
   ws.prev.resize(g.size());
+  ws.stamp.assign(g.size(), 0u);
 
   // Route order: short nets first (they have the least flexibility).
   std::vector<int> order(nets.size());
@@ -499,15 +546,16 @@ RouteResult route_interposer(const tech::Technology& tech, const InterposerFloor
       if (routed[ni].vertical) continue;
       double over = 0;
       for (std::size_t c : used_cells[ni]) {
-        over += std::max(0.0, ws.usage[c] - ws.capacity[c]);
+        over += std::max(0.0, ws.usage[c] - ws.capacity_of(c));
       }
       if (over > 0) offenders.push_back({over, static_cast<int>(ni)});
     }
     if (offenders.empty()) break;
+    instrument::counter_add(instrument::Counter::RouterReroutes, offenders.size());
     std::sort(offenders.begin(), offenders.end(), std::greater<>());
     for (const auto& [over, ni] : offenders) {
       const double demand = static_cast<double>(nets[static_cast<std::size_t>(ni)].bits);
-      for (std::size_t c : used_cells[static_cast<std::size_t>(ni)]) ws.usage[c] -= demand;
+      for (std::size_t c : used_cells[static_cast<std::size_t>(ni)]) ws.add_usage(c, -demand);
       if (any_routed[static_cast<std::size_t>(ni)]) {
         rebalance_layer(ws, routed[static_cast<std::size_t>(ni)],
                         used_cells[static_cast<std::size_t>(ni)], demand);
@@ -539,7 +587,7 @@ RouteResult route_interposer(const tech::Technology& tech, const InterposerFloor
   for (const auto& rn : routed) st.total_vias += rn.vias;
   st.signal_layers_used = wls.empty() ? 0 : max_layer_used + 1;
   for (std::size_t i = 0; i < ws.usage.size(); ++i) {
-    if (ws.usage[i] > ws.capacity[i]) ++st.overflowed_cells;
+    if (ws.usage[i] > ws.capacity_of(i)) ++st.overflowed_cells;
   }
   out.nets = std::move(routed);  // already in input order
   return out;

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/links.hpp"
@@ -114,6 +117,132 @@ TEST(ParallelFor, NestedCallsRunInline) {
     co::parallel_for(8, [&](std::size_t inner) { hits[outer * 8 + inner] += 1; });
   });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+// --- run_dag: dependency-driven graph execution.
+
+namespace {
+
+/// A 12-node graph with fan-out, fan-in and a long chain beside short
+/// branches (the shape of the flow's stage registry, doubled).
+std::vector<std::vector<std::size_t>> sample_dag() {
+  return {{},        {0},    {0},    {2},       {3},    {2},
+          {2},       {1, 4}, {1},    {5, 6, 8}, {},     {9, 10}};
+}
+
+/// Per-node start and finish tickets drawn from one atomic sequence.
+struct Tickets {
+  explicit Tickets(std::size_t n) : start(n, -1), finish(n, -1) {}
+  std::atomic<int> seq{0};
+  std::vector<int> start, finish;
+};
+
+}  // namespace
+
+TEST(RunDag, RespectsDependencyOrderAtAnyThreadCount) {
+  ThreadCountGuard guard;
+  const auto deps = sample_dag();
+  for (int threads : {1, 4}) {
+    co::set_thread_count(threads);
+    for (int rep = 0; rep < 20; ++rep) {
+      Tickets t(deps.size());
+      co::run_dag(deps.size(), deps, [&](std::size_t i) {
+        t.start[i] = t.seq++;
+        // Uneven work so the ready set changes shape between reps.
+        volatile double x = 0;
+        for (std::size_t k = 0; k < 2000 * ((i * 7 + static_cast<std::size_t>(rep)) % 5); ++k) {
+          x = x + 1.0;
+        }
+        t.finish[i] = t.seq++;
+      });
+      for (std::size_t i = 0; i < deps.size(); ++i) {
+        ASSERT_GE(t.start[i], 0) << "node " << i << " never ran";
+        for (const std::size_t d : deps[i]) {
+          EXPECT_LT(t.finish[d], t.start[i])
+              << threads << " threads: node " << i << " started before dependency " << d
+              << " finished";
+        }
+      }
+    }
+  }
+}
+
+TEST(RunDag, ExceptionSkipsDependentsAndIsRethrown) {
+  ThreadCountGuard guard;
+  const auto deps = sample_dag();
+  // Node 2 fails: 3, 4, 5, 6, 7 (via 4), 9 and 11 (via 9) depend on it.
+  const std::vector<std::size_t> downstream = {3, 4, 5, 6, 7, 9, 11};
+  for (int threads : {1, 4}) {
+    co::set_thread_count(threads);
+    std::vector<std::atomic<int>> ran(deps.size());
+    try {
+      co::run_dag(deps.size(), deps, [&](std::size_t i) {
+        ran[i]++;
+        if (i == 2) throw std::runtime_error("node 2 failed");
+      });
+      ADD_FAILURE() << "run_dag swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "node 2 failed");
+    }
+    for (std::size_t i = 0; i < deps.size(); ++i) {
+      const bool is_downstream =
+          std::find(downstream.begin(), downstream.end(), i) != downstream.end();
+      EXPECT_EQ(ran[i].load(), is_downstream ? 0 : 1) << threads << " threads, node " << i;
+    }
+    // The pool must stay usable after a failed graph.
+    std::atomic<int> count{0};
+    co::run_dag(deps.size(), deps, [&](std::size_t) { ++count; });
+    EXPECT_EQ(count.load(), static_cast<int>(deps.size()));
+  }
+}
+
+TEST(RunDag, LowestFailingNodeWins) {
+  ThreadCountGuard guard;
+  const auto deps = sample_dag();
+  for (int threads : {1, 4}) {
+    co::set_thread_count(threads);
+    // Nodes 8 and 10 are independent of each other; 10 finishes first when
+    // run concurrently, but 8 has the lower index.
+    try {
+      co::run_dag(deps.size(), deps, [&](std::size_t i) {
+        if (i == 8) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("8");
+        }
+        if (i == 10) throw std::runtime_error("10");
+      });
+      ADD_FAILURE() << "run_dag swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "8") << threads << " threads";
+    }
+  }
+}
+
+TEST(RunDag, NestedCallRunsInlineInTopologicalOrder) {
+  ThreadCountGuard guard;
+  co::set_thread_count(4);
+  const auto deps = sample_dag();
+  std::vector<std::vector<std::size_t>> order(4);
+  std::vector<std::thread::id> caller(4);
+  std::vector<int> same_thread(4, 1);
+  co::parallel_for(4, [&](std::size_t outer) {
+    caller[outer] = std::this_thread::get_id();
+    co::run_dag(deps.size(), deps, [&](std::size_t i) {
+      order[outer].push_back(i);
+      if (std::this_thread::get_id() != caller[outer]) same_thread[outer] = 0;
+    });
+  });
+  std::vector<std::size_t> index_order(deps.size());
+  std::iota(index_order.begin(), index_order.end(), std::size_t{0});
+  for (std::size_t outer = 0; outer < 4; ++outer) {
+    EXPECT_EQ(order[outer], index_order);
+    EXPECT_EQ(same_thread[outer], 1);
+  }
+}
+
+TEST(RunDag, RejectsForwardDependencies) {
+  EXPECT_THROW(co::run_dag(2, {{1}, {}}, [](std::size_t) {}), std::invalid_argument);
+  EXPECT_THROW(co::run_dag(2, {{}}, [](std::size_t) {}), std::invalid_argument);
 }
 
 TEST(ParallelForChunked, GridIsThreadCountIndependent) {

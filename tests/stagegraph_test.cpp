@@ -204,6 +204,41 @@ TEST(StageGraphTest, Monolithic2DIsRejected) {
                std::invalid_argument);
 }
 
+// A stage that throws must fail the flow with its own exception and start
+// no stage downstream of it; stages that do not depend on it still run, so
+// the cached state is the same at any thread count.
+TEST(StageGraphTest, FailingStageRethrowsAndStartsNoDependent) {
+  CacheGuard guard;
+  FlowOptions opts;
+  opts.router.grid_nx = 0;
+  const stage::StageKeys keys = stage::compute_stage_keys(TechnologyKind::Glass25D, opts);
+  for (int threads : {1, 4}) {
+    gia::core::set_thread_count(threads);
+    stage::set_stage_cache_enabled(true);
+    stage::stage_cache_clear();
+    try {
+      (void)stage::execute_flow(TechnologyKind::Glass25D, opts);
+      ADD_FAILURE() << "grid_nx=0 must fail the flow";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("router.grid_nx"), std::string::npos) << e.what();
+    }
+    const stage::StageCacheStats st = stage::stage_cache_stats();
+    for (StageId id : {StageId::Interposer, StageId::Links, StageId::Eyes, StageId::Pdn,
+                       StageId::Thermal, StageId::Rollup}) {
+      EXPECT_FALSE(stage::stage_cache_resident(keys.of(id)))
+          << threads << " threads: " << stage::stage_name(id) << " left an artifact";
+      // A miss is counted when a stage body starts; only interposer may start.
+      EXPECT_EQ(st.stage[static_cast<std::size_t>(stage::idx(id))].misses,
+                id == StageId::Interposer ? 1u : 0u)
+          << threads << " threads: " << stage::stage_name(id);
+    }
+    for (StageId id : {StageId::NetlistPartition, StageId::ChipletPnr}) {
+      EXPECT_TRUE(stage::stage_cache_resident(keys.of(id)))
+          << threads << " threads: independent stage " << stage::stage_name(id) << " missing";
+    }
+  }
+}
+
 // --- Cache behaviour.
 
 TEST(StageGraphTest, SecondRunHitsEveryStage) {
