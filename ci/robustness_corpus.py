@@ -3,8 +3,9 @@
 
 Feeds a running daemon the full torture corpus -- deep-nesting JSON bombs,
 multi-megabyte request lines, truncated frames, binary garbage, slow-loris
-connections, mid-response disconnects, and flow requests whose grid
-dimensions are below 1 -- and asserts after every attack that the daemon
+connections, mid-response disconnects, flow requests whose grid
+dimensions are below 1, knobs outside their range and knobs of the wrong
+JSON kind -- and asserts after every attack that the daemon
 still answers a ping on a fresh connection and that its stats counters
 account for the rejections. Intended to run against an
 ASan+UBSan giad in CI (the sanitizers turn latent memory bugs into crashes
@@ -200,6 +201,32 @@ def attack_bad_grid_dimensions(port):
     return len(cases)
 
 
+def attack_out_of_range_knobs(port):
+    """Every knob has a range (core/knobs.hpp). A well-typed value outside it
+    must fail its own request, naming the knob, when the owning stage
+    starts; a value of the wrong JSON kind is a parse error. Either way the
+    daemon stays up. Returns (failed flows, parse errors)."""
+    failed_cases = [
+        (b'{"flow_request":{"pnr":{"placer":{"cooling":-1}}},"result":false}',
+         b"pnr.placer.cooling"),
+        (b'{"flow_request":{"pnr":{"target_freq_hz":0}},"result":false}',
+         b"pnr.target_freq_hz"),
+    ]
+    for line, knob in failed_cases:
+        resp = roundtrip(port, line, timeout_s=300.0)
+        if b'"ok":false' not in resp or b'"status":"failed"' not in resp or knob not in resp:
+            fail(f"out-of-range request {line[:70]!r} not failed cleanly: {resp[:300]!r}")
+        expect_alive(port, f"out-of-range request {line[:70]!r}")
+    line = b'{"flow_request":{"with_eyes":1},"result":false}'
+    resp = roundtrip(port, line)
+    if (b'"ok":false' not in resp or b'"error":' not in resp or b"with_eyes" not in resp
+            or b'"status"' in resp):
+        fail(f"mistyped request {line!r} not rejected as a parse error: {resp[:300]!r}")
+    expect_alive(port, f"mistyped request {line!r}")
+    ok("out-of-range knobs failed and a mistyped knob was rejected, daemon alive")
+    return len(failed_cases), 1
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--port", type=int, required=True)
@@ -235,6 +262,8 @@ def main():
 
     n_grid = attack_bad_grid_dimensions(port)
 
+    n_range, n_typed = attack_out_of_range_knobs(port)
+
     # Let the orphaned flow request finish so the counters settle.
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
@@ -248,9 +277,10 @@ def main():
 
     # Counter accounting: every attack above must have left a trace.
     errors = stats["protocol_errors"] - base["protocol_errors"]
-    # nesting bomb + garbage + the malformed batch, at minimum (the 10 MB
-    # line adds one more when its rejection won the race with our send).
-    want_min = 2 + n_bad
+    # nesting bomb + garbage + the malformed batch + the mistyped knob, at
+    # minimum (the 10 MB line adds one more when its rejection won the race
+    # with our send).
+    want_min = 2 + n_bad + n_typed
     if errors < want_min:
         fail(f"protocol_errors {errors} < expected minimum {want_min}")
     else:
@@ -266,8 +296,8 @@ def main():
     else:
         ok("oversize rejection accounted")
     failed = stats["scheduler"]["failed"] - base["scheduler"]["failed"]
-    if failed < n_grid:
-        fail(f"scheduler.failed +{failed} < {n_grid} bad grid dimension requests")
+    if failed < n_grid + n_range:
+        fail(f"scheduler.failed +{failed} < {n_grid + n_range} bad grid/range requests")
     else:
         ok(f"failed flows accounted: +{failed}")
     if stats["timeouts"] - base["timeouts"] < 1:

@@ -39,8 +39,6 @@
 ///
 /// Technology names: glass25d glass3d si25d si3d shinko apx
 
-#include <climits>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -51,6 +49,7 @@
 #include "chiplet/system.hpp"
 #include "core/flow.hpp"
 #include "core/instrument.hpp"
+#include "core/knobs.hpp"
 #include "core/json.hpp"
 #include "core/links.hpp"
 #include "core/parallel.hpp"
@@ -72,31 +71,35 @@ bool parse_tech(const char* s, tech::TechnologyKind* out) {
   return tech::parse_kind(s, out);
 }
 
-/// Strict integer flag parse: whole-token decimal, within [min_value, ...).
-/// atoi would silently map a typo ("--chiplets x") to 0 and pass it through
-/// to validate_system, which throws out of main.
-bool parse_int_flag(const char* flag, const char* text, long min_value, int* out) {
-  char* end = nullptr;
-  const long v = std::strtol(text, &end, 10);
-  if (end == text || *end != '\0' || v < min_value || v > INT_MAX) {
-    std::fprintf(stderr, "giaflow flow: %s expects an integer >= %ld, got '%s'\n", flag,
-                 min_value, text);
-    return false;
-  }
-  *out = static_cast<int>(v);
-  return true;
-}
+/// `giaflow flow` system flags and the request knob each one sets.
+constexpr struct {
+  const char* flag;
+  const char* knob;
+} kFlowFlags[] = {
+    {"--chiplets", "system.chiplets"},       {"--arrangement", "system.arrangement"},
+    {"--memory-every", "system.memory_every"}, {"--pitch-scale", "system.pitch_scale"},
+    {"--placed", "system.placed"},           {"--die-sizes", "system.die_sizes"},
+};
 
-/// Strict positive-real flag parse (whole token, finite, > 0).
-bool parse_double_flag(const char* flag, const char* text, double* out) {
-  char* end = nullptr;
-  const double v = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(v) || v <= 0) {
-    std::fprintf(stderr, "giaflow flow: %s expects a positive number, got '%s'\n", flag, text);
+/// Set a flow flag's knob from its text: a token as spelled, a number only
+/// when the whole text parses (atoi would map a typo to 0). Ranges are
+/// checked by the flow's stages, which throw out of the run.
+bool set_flow_flag(const char* knob, const char* text, tech::TechnologyKind* kind,
+                   core::FlowOptions* opts) {
+  try {
+    if (core::knobs::find(knob)->kind == core::knobs::RowInfo::Kind::Token) {
+      core::knobs::set(*kind, *opts, knob, std::string(text));
+      return true;
+    }
+    char* end = nullptr;
+    const double v = std::strtod(text, &end);
+    if (end == text || *end != '\0') throw std::invalid_argument("not a number");
+    core::knobs::set(*kind, *opts, knob, v);
+    return true;
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "giaflow flow: %s '%s': %s\n", knob, text, e.what());
     return false;
   }
-  *out = v;
-  return true;
 }
 
 int usage() {
@@ -287,32 +290,20 @@ int main(int argc, char** argv) {
     opts.with_eyes = true;
     bool ok = true;
     for (int i = 2; i < n; ++i) {
-      const std::string a = args[i];
-      if (a == "--chiplets" && i + 1 < n) {
-        ok = parse_int_flag("--chiplets", args[++i], 1, &opts.system.chiplets) && ok;
-      } else if (a == "--arrangement" && i + 1 < n) {
-        if (!chiplet::parse_arrangement(args[++i], &opts.system.arrangement)) {
-          std::fprintf(stderr, "giaflow flow: unknown arrangement %s\n", args[i]);
-          ok = false;
-        }
-      } else if (a == "--memory-every" && i + 1 < n) {
-        ok = parse_int_flag("--memory-every", args[++i], 0, &opts.system.memory_every) && ok;
-      } else if (a == "--pitch-scale" && i + 1 < n) {
-        ok = parse_double_flag("--pitch-scale", args[++i], &opts.system.pitch_scale) && ok;
-      } else if (a == "--placed" && i + 1 < n) {
-        opts.system.placed = args[++i];
-      } else if (a == "--die-sizes" && i + 1 < n) {
-        opts.system.die_sizes = args[++i];
-      } else {
-        std::fprintf(stderr, "giaflow flow: unknown option %s\n", a.c_str());
+      const char* knob = nullptr;
+      for (const auto& f : kFlowFlags) {
+        if (!std::strcmp(args[i], f.flag) && i + 1 < n) knob = f.knob;
+      }
+      if (knob == nullptr) {
+        std::fprintf(stderr, "giaflow flow: unknown option %s\n", args[i]);
         ok = false;
+      } else {
+        ok = set_flow_flag(knob, args[++i], &kind, &opts) && ok;
       }
     }
     // `--chiplets N` alone implies a grid: requiring an explicit
     // --arrangement for every N != 2 invocation would just be a trap.
-    if (opts.system.chiplets != 2 && opts.system.is_legacy()) {
-      opts.system.arrangement = chiplet::Arrangement::Grid;
-    }
+    opts.system.resolve_arrangement();
     if (!ok) return usage();
     try {
       const auto r = core::run_full_flow(kind, opts);

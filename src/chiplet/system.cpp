@@ -28,11 +28,8 @@ bool parse_arrangement(const std::string& text, Arrangement* out) {
   return true;
 }
 
-bool SystemConfig::is_default() const {
-  return arrangement == Arrangement::Legacy && chiplets == 2 &&
-         memory_every == 0 && die_scale == 1.0 && power_scale == 1.0 &&
-         memory_die_scale == 1.0 && memory_power_scale == 1.0 &&
-         pitch_scale == 1.0 && placed.empty() && die_sizes.empty();
+void SystemConfig::resolve_arrangement() {
+  if (chiplets != 2 && is_legacy()) arrangement = Arrangement::Grid;
 }
 
 namespace {
@@ -104,17 +101,6 @@ std::string encode_placed(const std::vector<PlacedPosition>& pos) {
   return out;
 }
 
-namespace {
-
-void check_scale(const char* name, double v) {
-  if (!std::isfinite(v) || v < 0.01 || v > 100.0) {
-    throw std::invalid_argument(std::string("system.") + name +
-                                " must be finite and in [0.01, 100]");
-  }
-}
-
-}  // namespace
-
 void validate_system(const SystemConfig& sys) {
   if (sys.is_legacy()) {
     if (sys.chiplets != 2) {
@@ -124,18 +110,9 @@ void validate_system(const SystemConfig& sys) {
     }
     return;  // legacy mode ignores the remaining knobs
   }
-  if (sys.chiplets < 1 || sys.chiplets > 256) {
-    throw std::invalid_argument("system.chiplets must be in [1, 256]");
+  if (sys.memory_every > sys.chiplets) {
+    throw std::invalid_argument("system.memory_every must be at most system.chiplets");
   }
-  if (sys.memory_every < 0 || sys.memory_every > sys.chiplets) {
-    throw std::invalid_argument(
-        "system.memory_every must be in [0, chiplets]");
-  }
-  check_scale("die_scale", sys.die_scale);
-  check_scale("power_scale", sys.power_scale);
-  check_scale("memory_die_scale", sys.memory_die_scale);
-  check_scale("memory_power_scale", sys.memory_power_scale);
-  check_scale("pitch_scale", sys.pitch_scale);
   if (sys.arrangement == Arrangement::Placed) {
     const auto pos = sys.placed_positions();
     if (static_cast<int>(pos.size()) != sys.chiplets) {

@@ -72,10 +72,15 @@ struct SystemConfig {
 
   /// True when every field is at its default: the system block is omitted
   /// from canonical text / JSON and the request hashes to the legacy form.
-  bool is_default() const;
+  bool is_default() const { return *this == SystemConfig{}; }
+  bool operator==(const SystemConfig&) const = default;
   /// True when the legacy two-tile flow path runs (system knobs are ignored
   /// wholesale, so stage keys also omit them).
   bool is_legacy() const { return arrangement == Arrangement::Legacy; }
+  /// A chiplet count other than 2 with the legacy arrangement means a grid
+  /// (`giaflow flow --chiplets N`, a DSE point with a chiplets axis):
+  /// switch the arrangement to Grid in that case.
+  void resolve_arrangement();
   /// Is chiplet i (0-based) memory-class?
   bool memory_class(int i) const {
     return memory_every > 0 && (i + 1) % memory_every == 0;
@@ -102,10 +107,11 @@ struct SystemConfig {
 /// Encode positions into the `placed` token form ("x:y;x:y;...").
 std::string encode_placed(const std::vector<PlacedPosition>& pos);
 
-/// Validate a system block before running a flow: chiplet count bounds,
-/// finite positive scales, placed-position arity, and the legacy-mode
-/// chiplets==2 constraint. Throws std::invalid_argument with a message
-/// naming the offending field.
+/// Validate the cross-field rules of a system block before running a flow:
+/// legacy mode needs chiplets==2, memory_every <= chiplets, and the placed /
+/// die_sizes lists must match the arrangement and the chiplet count. Throws
+/// std::invalid_argument naming the offending field. Per-field ranges are
+/// rows of the knob table (core/knobs.hpp), checked by the owning stages.
 void validate_system(const SystemConfig& sys);
 
 }  // namespace gia::chiplet

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <functional>
 #include <string>
 
 /// \file canon.hpp
@@ -35,22 +34,13 @@ inline std::string key_hex(std::uint64_t key) {
 
 /// "section.subsection.key=value" line writer. `begin`/`end` push and pop
 /// dotted section prefixes; `field` renders ints/bools/doubles with the
-/// canonical spellings (%.17g for doubles, 1/0 for bools). The `token`
-/// member mirrors the serve-layer walk() visitor signature so the same
-/// field enumeration can drive this writer and the JSON reader/writer.
+/// canonical spellings (%.17g for doubles, 1/0 for bools). The knob-table
+/// visitors (core/knobs.hpp) render request and stage keys through it.
 struct Writer {
   std::string out;
   std::string prefix;
 
   void begin(const char* name) { prefix += std::string(name) + "."; }
-  /// Optional section: entered (and rendered) only when `nondefault`, so a
-  /// block whose every field is at its default hashes identically to a
-  /// schema that predates the block. Callers skip the matching `end()` when
-  /// this returns false.
-  bool begin_optional(const char* name, bool nondefault) {
-    if (nondefault) begin(name);
-    return nondefault;
-  }
   void end() { prefix.erase(prefix.rfind('.', prefix.size() - 2) + 1); }
   void line(const char* name, const std::string& value) {
     out += prefix;
@@ -58,21 +48,6 @@ struct Writer {
     out.push_back('=');
     out += value;
     out.push_back('\n');
-  }
-  void token(const char* name, const std::string& cur,
-             const std::function<void(const std::string&)>&) {
-    line(name, cur);
-  }
-  /// Optional knob: rendered only when `nondefault`, so documents and stage
-  /// keys predating the knob keep their hashes. The reader-side visitors
-  /// always probe for it (absent means keep-default).
-  void token_opt(const char* name, const std::string& cur, bool nondefault,
-                 const std::function<void(const std::string&)>&) {
-    if (nondefault) line(name, cur);
-  }
-  template <typename T>
-  void field_opt(const char* name, const T& x, bool nondefault) {
-    if (nondefault) field(name, x);
   }
   void field(const char* name, const int& x) { line(name, std::to_string(x)); }
   void field(const char* name, const unsigned& x) { line(name, std::to_string(x)); }

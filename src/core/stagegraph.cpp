@@ -14,6 +14,7 @@
 #include "core/content_cache.hpp"
 #include "core/instrument.hpp"
 #include "core/json.hpp"
+#include "core/knobs.hpp"
 #include "core/links.hpp"
 #include "core/parallel.hpp"
 #include "partition/hierarchical.hpp"
@@ -48,159 +49,43 @@ int system_mesh_factor(int chiplets) {
   return std::max(1, static_cast<int>(std::ceil(std::sqrt(chiplets / 4.0))));
 }
 
-/// The `system.*` knobs a stage reads in generalized N-chiplet mode. Legacy
-/// mode writes nothing: legacy stage bodies ignore the system block
-/// wholesale, so stage keys (and cached artifacts) stay byte-identical to
-/// the pre-system schema. Knobs a stage only consumes through an upstream
-/// artifact (e.g. `chiplets` downstream of netlist_partition) are covered by
-/// the dep keys and not re-declared.
-void write_system_knobs(StageId id, const FlowOptions& o, canon::Writer& w) {
-  const chiplet::SystemConfig& s = o.system;
-  if (s.is_legacy()) return;
-  std::string arrangement = chiplet::to_string(s.arrangement);
-  w.begin("system");
-  switch (id) {
-    case StageId::NetlistPartition:
-      w.field("chiplets", s.chiplets);
-      // The partition artifact bakes die classes in (extract_part side,
-      // partition.side, memory_fraction), so the class pattern is part of
-      // the key: requests differing only in memory_every must not alias.
-      w.field("memory_every", s.memory_every);
-      break;
-    case StageId::ChipletPnr:
-      w.field("memory_every", s.memory_every);
-      w.field("die_scale", s.die_scale);
-      w.field("memory_die_scale", s.memory_die_scale);
-      break;
-    case StageId::Interposer:
-      w.line("arrangement", arrangement);
-      w.field("memory_every", s.memory_every);
-      w.field("die_scale", s.die_scale);
-      w.field("memory_die_scale", s.memory_die_scale);
-      w.field("pitch_scale", s.pitch_scale);
-      w.line("placed", s.placed);
-      // Post-schema knob: written only when set so existing grid/hex/placed
-      // interposer stage keys (and cached artifacts) stay valid.
-      w.token_opt("die_sizes", s.die_sizes, !s.die_sizes.empty(), nullptr);
-      break;
-    case StageId::Links:
-    case StageId::Eyes:
-      break;  // fully determined by upstream artifacts
-    case StageId::Pdn:
-    case StageId::Thermal:
-    case StageId::Rollup:
-      w.field("memory_every", s.memory_every);
-      w.field("power_scale", s.power_scale);
-      w.field("memory_power_scale", s.memory_power_scale);
-      break;
-  }
-  w.end();
-}
+/// Every stage's knob text from one walk of the knob table: a row lands in
+/// the text of each stage that owns it. The system block renders only when
+/// the flow reads it (non-legacy arrangement), so legacy stage keys stay
+/// byte-identical to the pre-system schema.
+struct StageTextWriter {
+  std::array<std::string, kStageCount> text;
+  canon::Writer line;  ///< formats one row under the current prefix
 
-void write_knobs(StageId id, const FlowOptions& o, canon::Writer& w) {
-  switch (id) {
-    case StageId::NetlistPartition: {
-      w.line("partition_mode",
-             o.partition_mode == PartitionMode::Hierarchical ? "hierarchical" : "flattened");
-      w.begin("openpiton");
-      w.field("tiles", o.openpiton.tiles);
-      w.field("cluster_cells", o.openpiton.cluster_cells);
-      w.field("seed", o.openpiton.seed);
-      w.field("intra_nets_per_cluster", o.openpiton.intra_nets_per_cluster);
-      w.end();
-      w.begin("serdes");
-      w.field("ratio", o.serdes.ratio);
-      w.field("min_bits", o.serdes.min_bits);
-      w.field("cells_per_lane", o.serdes.cells_per_lane);
-      w.field("latency_cycles", o.serdes.latency_cycles);
-      w.end();
-      w.begin("fm");
-      w.field("balance_tolerance", o.fm.balance_tolerance);
-      w.field("target_memory_fraction", o.fm.target_memory_fraction);
-      w.field("max_passes", o.fm.max_passes);
-      w.field("seed", o.fm.seed);
-      w.end();
-      break;
-    }
-    case StageId::ChipletPnr: {
-      w.begin("pnr");
-      w.field("target_freq_hz", o.pnr.target_freq_hz);
-      w.field("logic_depth", o.pnr.logic_depth);
-      w.field("memory_depth", o.pnr.memory_depth);
-      w.field("aib_area_per_lane_um2", o.pnr.aib_area_per_lane_um2);
-      w.field("aib_duty", o.pnr.aib_duty);
-      w.field("tsv_stack_wl_factor", o.pnr.tsv_stack_wl_factor);
-      w.begin("placer");
-      w.field("packing_util", o.pnr.placer.packing_util);
-      w.field("moves_per_cluster", o.pnr.placer.moves_per_cluster);
-      w.field("t_start_frac", o.pnr.placer.t_start_frac);
-      w.field("cooling", o.pnr.placer.cooling);
-      w.field("seed", o.pnr.placer.seed);
-      w.end();
-      w.begin("congestion");
-      w.field("tracks_per_um_per_layer", o.pnr.congestion.tracks_per_um_per_layer);
-      w.field("signal_layers", o.pnr.congestion.signal_layers);
-      w.field("usable_fraction", o.pnr.congestion.usable_fraction);
-      w.field("detour_slope", o.pnr.congestion.detour_slope);
-      w.end();
-      w.begin("timing");
-      w.field("stage_drive_ohm", o.pnr.timing.stage_drive_ohm);
-      w.field("crit_net_scale", o.pnr.timing.crit_net_scale);
-      w.field("fanout", o.pnr.timing.fanout);
-      w.end();
-      w.end();
-      break;
-    }
-    case StageId::Interposer: {
-      w.begin("router");
-      w.field("grid_nx", o.router.grid_nx);
-      w.field("grid_ny", o.router.grid_ny);
-      w.field("usable_track_fraction", o.router.usable_track_fraction);
-      w.field("die_capacity_factor", o.router.die_capacity_factor);
-      w.field("congestion_weight", o.router.congestion_weight);
-      w.field("via_cost_um", o.router.via_cost_um);
-      w.field("wrong_way_penalty", o.router.wrong_way_penalty);
-      w.field("overflow_penalty", o.router.overflow_penalty);
-      w.field("reroute_passes", o.router.reroute_passes);
-      // Post-schema knob: written only when set (see system.die_sizes).
-      w.field_opt("any_angle", o.router.any_angle, o.router.any_angle);
-      w.end();
-      break;
-    }
-    case StageId::Links:
-      break;  // fully determined by the interposer artifact
-    case StageId::Eyes: {
-      w.field("with_eyes", o.with_eyes);
-      w.field("eye_bits", o.eye_bits);
-      break;
-    }
-    case StageId::Pdn:
-      break;  // fully determined by technology + interposer artifact
-    case StageId::Thermal: {
-      w.field("with_thermal", o.with_thermal);
-      w.begin("thermal_mesh");
-      w.field("nx", o.thermal_mesh.nx);
-      w.field("ny", o.thermal_mesh.ny);
-      w.field("logic_power_w", o.thermal_mesh.logic_power_w);
-      w.field("memory_power_w", o.thermal_mesh.memory_power_w);
-      w.field("interposer_power_w", o.thermal_mesh.interposer_power_w);
-      w.field("board_margin_frac", o.thermal_mesh.board_margin_frac);
-      w.field("thermal_via_fraction", o.thermal_mesh.thermal_via_fraction);
-      w.field("board_thickness_um", o.thermal_mesh.board_thickness_um);
-      w.field("board_k", o.thermal_mesh.board_k);
-      w.field("power_seed", o.thermal_mesh.power_seed);
-      w.end();
-      break;
-    }
-    case StageId::Rollup: {
-      w.field("rollup_activity_scale", o.rollup_activity_scale);
-      w.begin("pnr");
-      w.field("target_freq_hz", o.pnr.target_freq_hz);
-      w.end();
-      break;
-    }
+  bool begin(const char* name, bool, bool in_use) {
+    if (in_use) line.begin(name);
+    return in_use;
   }
-  write_system_knobs(id, o, w);
+  void end() { line.end(); }
+  void append(knobs::Stages owners) {
+    for (std::size_t i = 0; i < text.size(); ++i) {
+      if ((owners >> i) & 1u) text[i] += line.out;
+    }
+    line.out.clear();
+  }
+  template <typename T>
+  void field(const knobs::Field<T>& f) {
+    if (!f.render) return;
+    line.field(f.name, f.value);
+    append(f.owners);
+  }
+  template <typename S>
+  void token(const knobs::Token<S>& t) {
+    if (!t.render) return;
+    line.line(t.name, t.value);
+    append(t.owners);
+  }
+};
+
+std::array<std::string, kStageCount> stage_knob_texts(const FlowOptions& o) {
+  StageTextWriter v;
+  knobs::walk_readonly(tech::TechnologyKind::Glass25D, o, v);
+  return std::move(v.text);
 }
 
 // --- Process-wide stage-artifact cache: a ContentCache of type-erased
@@ -597,12 +482,11 @@ bool parse_stage(const std::string& name, StageId* out) {
 }
 
 std::string stage_knob_text(StageId id, const FlowOptions& opts) {
-  canon::Writer w;
-  write_knobs(id, opts, w);
-  return w.out;
+  return stage_knob_texts(opts)[static_cast<std::size_t>(idx(id))];
 }
 
 StageKeys compute_stage_keys(tech::TechnologyKind kind, const FlowOptions& opts) {
+  const std::array<std::string, kStageCount> knob_text = stage_knob_texts(opts);
   StageKeys ks;
   for (const StageInfo& si : kRegistry) {  // topological: dep keys are ready
     canon::Writer w;
@@ -614,7 +498,7 @@ StageKeys compute_stage_keys(tech::TechnologyKind kind, const FlowOptions& opts)
       w.line(stage_name(d), canon::key_hex(ks.of(d)));
     }
     w.end();
-    write_knobs(si.id, opts, w);
+    w.out += knob_text[static_cast<std::size_t>(idx(si.id))];
     ks.key[static_cast<std::size_t>(idx(si.id))] = canon::fnv1a64(w.out);
   }
   return ks;
@@ -652,7 +536,10 @@ TechnologyResult execute_flow(tech::TechnologyKind kind, const FlowOptions& opts
     const StageId id = kRegistry[i].id;
     instrument::ScopedSpan span(info(id).span_name);
     StageRunRecord::Outcome oc;
-    c.art[i] = cache().get_or_compute(id, c.keys.of(id), &oc, [&] { return run_stage(c, id); });
+    c.art[i] = cache().get_or_compute(id, c.keys.of(id), &oc, [&] {
+      knobs::check(id, opts);
+      return run_stage(c, id);
+    });
     if (record != nullptr) record->outcome[i] = oc;
   });
 

@@ -20,7 +20,7 @@
 ///
 /// Stage keys are content addresses: FNV-1a over a canonical preimage of
 /// (stage name, technology when the stage reads it, upstream stage keys,
-/// the stage's declared knob subset) rendered with `core/canon.hpp` -- the
+/// the knobs the stage owns) rendered with `core/canon.hpp` -- the
 /// same machinery behind the serving layer's request keys. Changing a knob
 /// therefore invalidates exactly the stages that declare it plus their
 /// transitive dependents; a downstream-only change (eye_bits, thermal mesh,
@@ -65,7 +65,7 @@ inline constexpr int idx(StageId id) { return static_cast<int>(id); }
 
 /// One registry row: identity, instrumentation span name, and the stage's
 /// declared inputs (whether it reads the technology kind, and its upstream
-/// stages; the knob subset lives in `stage_knob_text`).
+/// stages; the knobs it owns are marked in the knob table, core/knobs.hpp).
 struct StageInfo {
   StageId id;
   const char* name;       ///< stable snake_case token ("netlist_partition")
@@ -82,9 +82,9 @@ const char* stage_name(StageId id);
 /// Parse a stage token; returns false on unknown names.
 bool parse_stage(const std::string& name, StageId* out);
 
-/// Canonical rendering of the knob subset a stage declares (the
-/// `FlowOptions`-derived lines of its key preimage). Knob names match the
-/// serve-layer request canonicalization ("openpiton.seed=7", ...).
+/// Canonical rendering of the knobs a stage owns in the knob table
+/// (core/knobs.hpp), in table order: the `FlowOptions`-derived lines of its
+/// key preimage. Lines match the request canonicalization ("openpiton.seed=7").
 std::string stage_knob_text(StageId id, const FlowOptions& opts);
 
 /// Content addresses for every stage of one (technology, options) request.

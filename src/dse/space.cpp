@@ -9,104 +9,13 @@
 
 #include "chiplet/system.hpp"
 #include "core/canon.hpp"
-#include "tech/technology.hpp"
+#include "core/knobs.hpp"
 
 namespace gia::dse {
 
 namespace json = core::json;
 
 namespace {
-
-/// Registry row plus the binding that writes an axis value into a request.
-/// Token and numeric setters are separate slots so the table stays a plain
-/// aggregate of function pointers.
-struct KnobBinding {
-  KnobInfo info;
-  void (*set_token)(serve::FlowRequest&, const std::string&) = nullptr;
-  void (*set_num)(serve::FlowRequest&, double) = nullptr;
-};
-
-void set_tech(serve::FlowRequest& r, const std::string& s) {
-  if (!tech::parse_kind(s, &r.tech)) {
-    throw std::runtime_error("search space: unknown tech \"" + s + "\"");
-  }
-}
-
-void set_arrangement(serve::FlowRequest& r, const std::string& s) {
-  if (!chiplet::parse_arrangement(s, &r.options.system.arrangement)) {
-    throw std::runtime_error("search space: unknown system.arrangement \"" + s + "\"");
-  }
-}
-
-void set_die_sizes(serve::FlowRequest& r, const std::string& s) {
-  r.options.system.die_sizes = s;
-  // Eager syntax check (arity against chiplets is validated per point):
-  // malformed axis values fail at spec-parse time, not mid-search.
-  r.options.system.parsed_die_sizes();
-}
-
-const std::vector<KnobBinding>& bindings() {
-  using R = serve::FlowRequest;
-  static const std::vector<KnobBinding> table = {
-      {{"tech", KnobType::Token}, set_tech, nullptr},
-      {{"system.arrangement", KnobType::Token}, set_arrangement, nullptr},
-      {{"system.chiplets", KnobType::Int}, nullptr,
-       [](R& r, double v) { r.options.system.chiplets = static_cast<int>(v); }},
-      {{"system.memory_every", KnobType::Int}, nullptr,
-       [](R& r, double v) { r.options.system.memory_every = static_cast<int>(v); }},
-      {{"system.pitch_scale", KnobType::Double}, nullptr,
-       [](R& r, double v) { r.options.system.pitch_scale = v; }},
-      {{"system.die_scale", KnobType::Double}, nullptr,
-       [](R& r, double v) { r.options.system.die_scale = v; }},
-      {{"system.power_scale", KnobType::Double}, nullptr,
-       [](R& r, double v) { r.options.system.power_scale = v; }},
-      {{"system.memory_die_scale", KnobType::Double}, nullptr,
-       [](R& r, double v) { r.options.system.memory_die_scale = v; }},
-      {{"system.memory_power_scale", KnobType::Double}, nullptr,
-       [](R& r, double v) { r.options.system.memory_power_scale = v; }},
-      {{"system.die_sizes", KnobType::Token}, set_die_sizes, nullptr},
-      {{"serdes.ratio", KnobType::Int}, nullptr,
-       [](R& r, double v) { r.options.serdes.ratio = static_cast<int>(v); }},
-      {{"pnr.target_freq_hz", KnobType::Double}, nullptr,
-       [](R& r, double v) { r.options.pnr.target_freq_hz = v; }},
-      {{"router.congestion_weight", KnobType::Double}, nullptr,
-       [](R& r, double v) { r.options.router.congestion_weight = v; }},
-      {{"router.reroute_passes", KnobType::Int}, nullptr,
-       [](R& r, double v) { r.options.router.reroute_passes = static_cast<int>(v); }},
-      {{"router.any_angle", KnobType::Int}, nullptr,
-       [](R& r, double v) { r.options.router.any_angle = v != 0.0; }},
-      {{"thermal_mesh.thermal_via_fraction", KnobType::Double}, nullptr,
-       [](R& r, double v) { r.options.thermal_mesh.thermal_via_fraction = v; }},
-      {{"thermal_mesh.board_k", KnobType::Double}, nullptr,
-       [](R& r, double v) { r.options.thermal_mesh.board_k = v; }},
-      {{"thermal_mesh.logic_power_w", KnobType::Double}, nullptr,
-       [](R& r, double v) { r.options.thermal_mesh.logic_power_w = v; }},
-      {{"thermal_mesh.memory_power_w", KnobType::Double}, nullptr,
-       [](R& r, double v) { r.options.thermal_mesh.memory_power_w = v; }},
-      {{"eye_bits", KnobType::Int}, nullptr,
-       [](R& r, double v) { r.options.eye_bits = static_cast<int>(v); }},
-      {{"rollup_activity_scale", KnobType::Double}, nullptr,
-       [](R& r, double v) { r.options.rollup_activity_scale = v; }},
-  };
-  return table;
-}
-
-const KnobBinding* binding_of(const std::string& name) {
-  for (const auto& b : bindings()) {
-    if (name == b.info.name) return &b;
-  }
-  return nullptr;
-}
-
-void apply_axis(serve::FlowRequest& r, const Axis& axis, std::size_t vi) {
-  const KnobBinding* b = binding_of(axis.knob);
-  if (b == nullptr) throw std::runtime_error("search space: unknown knob \"" + axis.knob + "\"");
-  if (axis.type == KnobType::Token) {
-    b->set_token(r, axis.tokens.at(vi));
-  } else {
-    b->set_num(r, axis.values.at(vi));
-  }
-}
 
 std::string fmt_g(double v) {
   char buf[40];
@@ -134,40 +43,40 @@ void check_keys(const json::Value& obj, std::initializer_list<const char*> allow
 
 /// Parse one axis value document (array or range object) against its knob.
 Axis parse_axis(const std::string& name, const json::Value& v) {
-  KnobInfo info;
-  if (!knob_lookup(name, &info)) {
-    fail("space: unknown knob \"" + name + "\" (not in the axis registry)");
-  }
+  const core::knobs::RowInfo* row = core::knobs::find(name);
+  if (row == nullptr) fail("space: unknown knob \"" + name + "\" (not a request knob)");
+  using Kind = core::knobs::RowInfo::Kind;
   Axis axis;
   axis.knob = name;
-  axis.type = info.type;
+  axis.type = row->kind == Kind::Token    ? KnobType::Token
+              : row->kind == Kind::Double ? KnobType::Double
+                                          : KnobType::Int;
 
   if (v.kind == json::Value::Kind::Array) {
     if (v.arr.empty()) fail("space." + name + ": axis must not be empty");
     for (const auto& e : v.arr) {
-      if (info.type == KnobType::Token) {
+      if (axis.type == KnobType::Token) {
         if (e.kind != json::Value::Kind::String) {
           fail("space." + name + ": token axis values must be strings");
         }
         // Validate the token eagerly: a typo'd technology fails at parse
         // time, not after half the search has run.
         serve::FlowRequest probe;
-        binding_of(name)->set_token(probe, e.str);
+        try {
+          core::knobs::set(probe.tech, probe.options, name, e.str);
+        } catch (const std::invalid_argument& err) {
+          fail(std::string("space: ") + err.what());
+        }
         axis.tokens.push_back(e.str);
       } else {
         if (e.kind != json::Value::Kind::Number) {
           fail("space." + name + ": numeric axis values must be numbers");
         }
-        const double x = e.as_double();
-        if (!std::isfinite(x)) fail("space." + name + ": values must be finite");
-        if (info.type == KnobType::Int && x != std::floor(x)) {
-          fail("space." + name + ": integer knob requires integral values");
-        }
-        axis.values.push_back(x);
+        axis.values.push_back(e.as_double());
       }
     }
   } else if (v.kind == json::Value::Kind::Object) {
-    if (info.type == KnobType::Token) {
+    if (axis.type == KnobType::Token) {
       fail("space." + name + ": token axes take an array of names, not a range");
     }
     check_keys(v, {"min", "max", "steps", "scale"}, ("space." + name).c_str());
@@ -196,15 +105,28 @@ Axis parse_axis(const std::string& name, const json::Value& v) {
       const double t = static_cast<double>(i) / static_cast<double>(steps - 1);
       double x = log_scale ? std::exp(std::log(lo) + t * (std::log(hi) - std::log(lo)))
                            : lo + t * (hi - lo);
-      if (info.type == KnobType::Int) x = std::round(x);
+      if (axis.type == KnobType::Int) x = std::round(x);
       axis.values.push_back(x);
     }
   } else {
     fail("space." + name + ": axis must be an array or a range object");
   }
 
+  // Every value must be one the row can hold: integral for Int knobs (bools
+  // are Int with range [0, 1]) and inside the row's range.
+  for (const double x : axis.values) {
+    if (!std::isfinite(x)) fail("space." + name + ": values must be finite");
+    if (axis.type == KnobType::Int && x != std::floor(x)) {
+      fail("space." + name + ": integer knob requires integral values");
+    }
+    if (x < row->min || x > row->max) {
+      fail("space." + name + ": value " + fmt_g(x) + " is out of range [" + fmt_g(row->min) +
+           ", " + fmt_g(row->max) + "]");
+    }
+  }
+
   // Duplicate values would multiply the space without adding points.
-  if (info.type == KnobType::Token) {
+  if (axis.type == KnobType::Token) {
     for (std::size_t i = 0; i < axis.tokens.size(); ++i) {
       for (std::size_t j = i + 1; j < axis.tokens.size(); ++j) {
         if (axis.tokens[i] == axis.tokens[j]) {
@@ -217,7 +139,7 @@ Axis parse_axis(const std::string& name, const json::Value& v) {
       for (std::size_t j = i + 1; j < axis.values.size(); ++j) {
         if (axis.values[i] == axis.values[j]) {
           fail("space." + name + ": duplicate value " + fmt_g(axis.values[i]) +
-               (info.type == KnobType::Int ? " (steps too fine for an integer knob?)" : ""));
+               (axis.type == KnobType::Int ? " (steps too fine for an integer knob?)" : ""));
         }
       }
     }
@@ -239,22 +161,6 @@ void require_known_metric(const std::string& metric, const char* where) {
 }
 
 }  // namespace
-
-const std::vector<KnobInfo>& knob_registry() {
-  static const std::vector<KnobInfo> reg = [] {
-    std::vector<KnobInfo> r;
-    for (const auto& b : bindings()) r.push_back(b.info);
-    return r;
-  }();
-  return reg;
-}
-
-bool knob_lookup(const std::string& name, KnobInfo* out) {
-  const KnobBinding* b = binding_of(name);
-  if (b == nullptr) return false;
-  *out = b->info;
-  return true;
-}
 
 const std::vector<std::string>& known_metrics() {
   static const std::vector<std::string> m = {"power_mW",      "cost_usd",  "area_mm2",
@@ -299,12 +205,17 @@ std::uint64_t SearchSpace::index_of(const std::vector<std::size_t>& d) const {
 serve::FlowRequest SearchSpace::materialize(std::uint64_t i) const {
   const auto d = digits(i);
   serve::FlowRequest r = base;
-  for (std::size_t a = 0; a < axes.size(); ++a) apply_axis(r, axes[a], d[a]);
+  for (std::size_t a = 0; a < axes.size(); ++a) {
+    const Axis& x = axes[a];
+    if (x.type == KnobType::Token) {
+      core::knobs::set(r.tech, r.options, x.knob, x.tokens[d[a]]);
+    } else {
+      core::knobs::set(r.tech, r.options, x.knob, x.values[d[a]]);
+    }
+  }
   // `system.chiplets=N` without an arrangement axis means a grid, matching
   // the `giaflow flow --chiplets N` convention.
-  if (r.options.system.chiplets != 2 && r.options.system.is_legacy()) {
-    r.options.system.arrangement = chiplet::Arrangement::Grid;
-  }
+  r.options.system.resolve_arrangement();
   return r;
 }
 

@@ -10,14 +10,14 @@
 
 /// \file space.hpp
 /// Declarative search-space grammar for design-space exploration. A
-/// `SearchSpace` is a base `FlowRequest` plus named axes over a fixed
-/// registry of FlowRequest knobs: categorical token axes (technology,
-/// arrangement), integer axes (chiplet count, SerDes ratio) and numeric
-/// axes given either as explicit value lists or as linear/log ranges. The
-/// cross product is enumerable -- `materialize(i)` yields the i-th fully
-/// specified request -- and content-hashable (`key()`), so two identical
-/// searches coalesce in the daemon exactly like two identical flow
-/// requests do.
+/// `SearchSpace` is a base `FlowRequest` plus named axes over any request
+/// knob (every row of core/knobs.hpp): categorical token axes (technology,
+/// arrangement), integer axes (chiplet count, SerDes ratio, booleans as
+/// 0/1) and numeric axes given either as explicit value lists or as
+/// linear/log ranges. The cross product is enumerable -- `materialize(i)`
+/// yields the i-th fully specified request -- and content-hashable
+/// (`key()`), so two identical searches coalesce in the daemon exactly like
+/// two identical flow requests do.
 ///
 /// The JSON form follows the serve/request.cpp contract: strict readers
 /// that reject unknown keys (a typo'd knob or axis field fails loudly
@@ -34,21 +34,9 @@ namespace gia::dse {
 /// How an axis's values bind to the FlowRequest.
 enum class KnobType {
   Token,  ///< categorical string (tech name, arrangement)
-  Int,    ///< integer knob; axis values must be integral
+  Int,    ///< integer or boolean knob; axis values must be integral
   Double  ///< real knob
 };
-
-/// One registry row: a searchable FlowRequest knob. The registry is the
-/// whole grammar -- an axis over any other name is rejected at parse time.
-struct KnobInfo {
-  const char* name = nullptr;  ///< dotted request path ("system.chiplets")
-  KnobType type = KnobType::Double;
-};
-
-/// All searchable knobs, in registry order.
-const std::vector<KnobInfo>& knob_registry();
-/// Look up a knob by name; returns false for names outside the registry.
-bool knob_lookup(const std::string& name, KnobInfo* out);
 
 /// One named axis: a knob plus its candidate values. Exactly one of
 /// `tokens` (Token knobs) / `values` (Int/Double knobs) is populated.
@@ -135,8 +123,8 @@ struct SearchSpec {
 ///   constraints  (optional) [{"metric":"cost_usd","max":5.0,"min":...}]
 ///   seed_points, refine_rounds, batch, max_points, point_events (optional)
 /// Unknown keys, unknown knobs, unknown metrics, empty axes, non-integral
-/// values on Int knobs and degenerate ranges are rejected with
-/// std::runtime_error.
+/// values on Int knobs, values outside the knob's range and degenerate
+/// ranges are rejected with std::runtime_error.
 SearchSpec spec_from_value(const core::json::Value& v);
 SearchSpec spec_from_json(const std::string& text);
 

@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/json.hpp"
+#include "core/knobs.hpp"
 #include "core/sweep.hpp"
 #include "dse/pareto.hpp"
 #include "dse/search.hpp"
@@ -304,6 +306,40 @@ TEST(DseSpaceTest, DefaultObjectivesMinimizePowerCostArea) {
   EXPECT_EQ(spec.objectives[0].metric, "power_mW");
   EXPECT_EQ(spec.objectives[1].metric, "cost_usd");
   EXPECT_EQ(spec.objectives[2].metric, "area_mm2");
+}
+
+// Axis values are checked against the knob row's type and range when the
+// spec is parsed. Before, any_angle [0,1,2] gave 3 points of which two had
+// one request key, and eye_bits [0,-5] was accepted.
+TEST(DseSpaceTest, AxisValuesAreCheckedAgainstTheKnobRow) {
+  EXPECT_THROW(parse(R"({"space":{"router.any_angle":[0,1,2]}})"), std::runtime_error);
+  EXPECT_THROW(parse(R"({"space":{"eye_bits":[0,-5]}})"), std::runtime_error);
+  EXPECT_THROW(parse(R"({"space":{"pnr.placer.cooling":{"min":-1,"max":0.5,"steps":3}}})"),
+               std::runtime_error);
+  const auto flag = parse(R"({"space":{"router.any_angle":[0,1]}})");
+  ASSERT_EQ(flag.space.size(), 2u);
+  EXPECT_NE(serve::request_key(flag.space.materialize(0)),
+            serve::request_key(flag.space.materialize(1)));
+  EXPECT_TRUE(flag.space.materialize(1).options.router.any_angle);
+}
+
+// Every request knob is an axis, not a hand-picked subset: both ends of
+// every numeric row's range make a valid axis, and token rows parse too.
+TEST(DseSpaceTest, EveryRequestKnobIsAnAxis) {
+  for (const auto& row : core::knobs::rows()) {
+    if (row.kind == core::knobs::RowInfo::Kind::Token) continue;
+    char doc[160];
+    std::snprintf(doc, sizeof doc, R"({"space":{"%s":[%.17g,%.17g]}})", row.path.c_str(),
+                  row.min, row.max);
+    EXPECT_EQ(parse(doc).space.size(), 2u) << doc;
+  }
+  const auto spec = parse(
+      R"({"space":{"pnr.placer.cooling":[0.8,0.9],"partition_mode":["hierarchical","flattened"]}})");
+  EXPECT_EQ(spec.space.size(), 4u);
+  EXPECT_EQ(spec.space.materialize(3).options.partition_mode, core::PartitionMode::Flattened);
+  EXPECT_DOUBLE_EQ(spec.space.materialize(3).options.pnr.placer.cooling, 0.9);
+  EXPECT_THROW(parse(R"({"space":{"partition_mode":["vibes"]}})"), std::runtime_error);
+  EXPECT_THROW(parse(R"({"space":{"with_thermal":[0,2]}})"), std::runtime_error);
 }
 
 // ---------------------------------------------------------------------------
