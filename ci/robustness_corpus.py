@@ -4,8 +4,8 @@
 Feeds a running daemon the full torture corpus -- deep-nesting JSON bombs,
 multi-megabyte request lines, truncated frames, binary garbage, slow-loris
 connections, mid-response disconnects, flow requests whose grid
-dimensions are below 1, knobs outside their range and knobs of the wrong
-JSON kind -- and asserts after every attack that the daemon
+dimensions are below 1, knobs outside their range, knobs of the wrong
+JSON kind and mistyped search/verb scalars -- and asserts after every attack that the daemon
 still answers a ping on a fresh connection and that its stats counters
 account for the rejections. Intended to run against an
 ASan+UBSan giad in CI (the sanitizers turn latent memory bugs into crashes
@@ -227,6 +227,27 @@ def attack_out_of_range_knobs(port):
     return len(failed_cases), 1
 
 
+def attack_mistyped_scalars(port):
+    """Search spec and verb scalars are checked reads: a wrong kind, a
+    fraction or a value the field's type cannot hold is a parse error that
+    names the field (these once read as false, 1, 1 and 0)."""
+    space = b'"space":{"tech":["glass25d"]}'
+    cases = [
+        (b'{"search":{' + space + b',"point_events":1}}', b"point_events"),
+        (b'{"search":{' + space + b',"seed_points":4294967297}}', b"seed_points"),
+        (b'{"flow_request":{},"priority":1.5}', b"priority"),
+        (b'{"search":{' + space + b',"constraints":[{"metric":"cost_usd","max":"5"}]}}',
+         b"constraints.max"),
+    ]
+    for line, field in cases:
+        resp = roundtrip(port, line)
+        if b'"ok":false' not in resp or b'"error":' not in resp or field not in resp:
+            fail(f"mistyped scalar {line[:70]!r} not rejected by name: {resp[:300]!r}")
+        expect_alive(port, f"mistyped scalar {line[:70]!r}")
+    ok(f"{len(cases)} mistyped search/verb scalars rejected by name, daemon alive")
+    return len(cases)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--port", type=int, required=True)
@@ -264,6 +285,8 @@ def main():
 
     n_range, n_typed = attack_out_of_range_knobs(port)
 
+    n_scalars = attack_mistyped_scalars(port)
+
     # Let the orphaned flow request finish so the counters settle.
     deadline = time.monotonic() + 120
     while time.monotonic() < deadline:
@@ -277,10 +300,10 @@ def main():
 
     # Counter accounting: every attack above must have left a trace.
     errors = stats["protocol_errors"] - base["protocol_errors"]
-    # nesting bomb + garbage + the malformed batch + the mistyped knob, at
-    # minimum (the 10 MB line adds one more when its rejection won the race
-    # with our send).
-    want_min = 2 + n_bad + n_typed
+    # nesting bomb + garbage + the malformed batch + the mistyped knob and
+    # scalars, at minimum (the 10 MB line adds one more when its rejection
+    # won the race with our send).
+    want_min = 2 + n_bad + n_typed + n_scalars
     if errors < want_min:
         fail(f"protocol_errors {errors} < expected minimum {want_min}")
     else:

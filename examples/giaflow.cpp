@@ -168,16 +168,15 @@ const char* demo_search_spec() {
          R"("seed_points":8,"refine_rounds":1,"batch":4})";
 }
 
+/// An absent field reads as 0; a mistyped one throws (a bad event line).
 unsigned long long u64_field(const core::json::Value& v, const char* name) {
   const core::json::Value* f = v.find(name);
-  if (f == nullptr || f->kind != core::json::Value::Kind::Number) return 0;
-  return static_cast<unsigned long long>(f->as_u64());
+  return f != nullptr ? f->as<unsigned long long>(name) : 0;
 }
 
 double double_field(const core::json::Value& v, const char* name) {
   const core::json::Value* f = v.find(name);
-  if (f == nullptr || f->kind != core::json::Value::Kind::Number) return 0;
-  return f->as_double();
+  return f != nullptr ? f->as<double>(name) : 0;
 }
 
 /// Render one streamed search event as a human-readable progress line on
@@ -242,7 +241,7 @@ int run_search_stream(int port, const std::string& spec_json, long deadline_ms) 
     try {
       const core::json::Value v = core::json::parse(resp);
       if (const core::json::Value* okv = v.find("ok")) {
-        if (okv->kind == core::json::Value::Kind::Bool && !okv->as_bool()) {
+        if (!okv->as<bool>("ok")) {
           const core::json::Value* e = v.find("error");
           std::fprintf(stderr, "giaflow search: %s\n",
                        e != nullptr ? e->str.c_str() : "server error");

@@ -253,23 +253,13 @@ RunReport RunReport::capture() {
 
 namespace {
 
-using json::append_double;
-using json::append_u64;
-using json::escape;
-
-void json_escape(const std::string& s, std::string& out) { escape(s, out); }
-
 void span_json(const SpanSnapshot& s, std::string& out) {
-  out += "{\"name\":";
-  json_escape(s.name, out);
-  out += ",\"count\":";
-  append_u64(s.count, out);
-  out += ",\"total_ns\":";
-  append_u64(s.total_ns, out);
-  out += ",\"min_ns\":";
-  append_u64(s.min_ns, out);
-  out += ",\"max_ns\":";
-  append_u64(s.max_ns, out);
+  out += "{";
+  json::member("name", s.name, out);
+  json::member("count", s.count, out);
+  json::member("total_ns", s.total_ns, out);
+  json::member("min_ns", s.min_ns, out);
+  json::member("max_ns", s.max_ns, out);
   out += ",\"children\":[";
   for (std::size_t i = 0; i < s.children.size(); ++i) {
     if (i > 0) out.push_back(',');
@@ -287,26 +277,14 @@ std::string span_tree_json(const SpanSnapshot& s) {
 }
 
 std::string RunReport::to_json() const {
-  std::string out = "{\"run_report\":{\"compiler\":";
-  json_escape(compiler, out);
-  out += ",\"build_type\":";
-  json_escape(build_type, out);
-  out += ",\"threads\":";
-  append_u64(static_cast<std::uint64_t>(threads), out);
+  std::string out = "{\"run_report\":{";
+  json::member("compiler", compiler, out);
+  json::member("build_type", build_type, out);
+  json::member("threads", threads, out);
   out += ",\"counters\":{";
-  for (std::size_t i = 0; i < counters.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    json_escape(counters[i].first, out);
-    out.push_back(':');
-    append_u64(counters[i].second, out);
-  }
+  for (const auto& [name, v] : counters) json::member(name, v, out);
   out += "},\"gauges\":{";
-  for (std::size_t i = 0; i < gauges.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    json_escape(gauges[i].first, out);
-    out.push_back(':');
-    append_double(gauges[i].second, out);
-  }
+  for (const auto& [name, v] : gauges) json::member(name, v, out);
   out += "},\"spans\":";
   span_json(root, out);
   out += "}}";
@@ -367,11 +345,11 @@ namespace {
 
 SpanSnapshot span_from_json(const json::Value& v) {
   SpanSnapshot s;
-  s.name = v.at("name").str;
-  s.count = v.at("count").as_u64();
-  s.total_ns = v.at("total_ns").as_u64();
-  s.min_ns = v.at("min_ns").as_u64();
-  s.max_ns = v.at("max_ns").as_u64();
+  s.name = v.at("name").as<std::string>("name");
+  s.count = v.at("count").as<std::uint64_t>("count");
+  s.total_ns = v.at("total_ns").as<std::uint64_t>("total_ns");
+  s.min_ns = v.at("min_ns").as<std::uint64_t>("min_ns");
+  s.max_ns = v.at("max_ns").as<std::uint64_t>("max_ns");
   for (const auto& c : v.at("children").arr) s.children.push_back(span_from_json(c));
   return s;
 }
@@ -382,11 +360,13 @@ RunReport RunReport::from_json(const std::string& text) {
   const json::Value top = json::parse(text);
   const json::Value& rr = top.at("run_report");
   RunReport out;
-  out.compiler = rr.at("compiler").str;
-  out.build_type = rr.at("build_type").str;
-  out.threads = static_cast<int>(rr.at("threads").as_u64());
-  for (const auto& [k, v] : rr.at("counters").obj) out.counters.emplace_back(k, v.as_u64());
-  for (const auto& [k, v] : rr.at("gauges").obj) out.gauges.emplace_back(k, v.as_double());
+  out.compiler = rr.at("compiler").as<std::string>("compiler");
+  out.build_type = rr.at("build_type").as<std::string>("build_type");
+  out.threads = rr.at("threads").as<int>("threads");
+  for (const auto& [k, v] : rr.at("counters").obj) {
+    out.counters.emplace_back(k, v.as<std::uint64_t>(k));
+  }
+  for (const auto& [k, v] : rr.at("gauges").obj) out.gauges.emplace_back(k, v.as<double>(k));
   out.root = span_from_json(rr.at("spans"));
   return out;
 }

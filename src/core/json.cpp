@@ -1,7 +1,10 @@
 #include "core/json.hpp"
 
+#include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
@@ -22,9 +25,62 @@ const Value* Value::find(const std::string& key) const {
   return nullptr;
 }
 
-std::uint64_t Value::as_u64() const { return std::strtoull(raw.c_str(), nullptr, 10); }
-std::int64_t Value::as_i64() const { return std::strtoll(raw.c_str(), nullptr, 10); }
-double Value::as_double() const { return std::strtod(raw.c_str(), nullptr); }
+namespace {
+
+std::string shown(const Value& v) {
+  static const char* const kKinds[] = {"null", "", "", "a string", "an array", "an object"};
+  if (v.kind == Value::Kind::Number) return v.raw.substr(0, 40);  // the start is enough
+  if (v.kind == Value::Kind::Bool) return v.b ? "true" : "false";
+  return kKinds[static_cast<int>(v.kind)];
+}
+
+}  // namespace
+
+void Value::mistyped(std::string_view what, const std::string& expected) const {
+  const std::string subject = what.empty() ? "" : std::string(what) + " ";
+  throw std::runtime_error(subject + "must be " + expected + ", got " + shown(*this));
+}
+
+double Value::number(std::string_view what) const {
+  if (kind != Kind::Number) mistyped(what, "a number");
+  errno = 0;
+  const double x = std::strtod(raw.c_str(), nullptr);
+  // Underflow reads as the nearest subnormal or zero; overflow is refused.
+  if (errno == ERANGE && std::isinf(x)) mistyped(what, "a number a double can hold");
+  return x;
+}
+
+// Exact in integer arithmetic: the token (its grammar checked by the parser)
+// is the digit string D times 10^exp, with D's trailing zeros moved into exp.
+bool Value::integer(std::string_view what, bool* negative, std::uint64_t* magnitude) const {
+  if (kind != Kind::Number) mistyped(what, "an integer");
+  const bool minus = raw.front() == '-';
+  std::string digits;
+  long exp = 0;
+  std::size_t i = minus ? 1 : 0;
+  for (bool fraction = false; i < raw.size() && raw[i] != 'e' && raw[i] != 'E'; ++i) {
+    if (raw[i] == '.') {
+      fraction = true;
+    } else {
+      digits.push_back(raw[i]);
+      exp -= fraction;
+    }
+  }
+  if (i < raw.size()) {  // strtol saturates; the clamp keeps `exp` from overflowing
+    exp += std::clamp(std::strtol(&raw[i + 1], nullptr, 10), -(1L << 40), 1L << 40);
+  }
+  digits.erase(0, digits.find_first_not_of('0'));
+  for (; !digits.empty() && digits.back() == '0'; ++exp) digits.pop_back();
+  *negative = minus && !digits.empty();
+  *magnitude = 0;
+  if (digits.empty()) return true;
+  if (exp < 0) mistyped(what, "an integer");
+  if (exp > 20 - static_cast<long>(digits.size())) return false;  // beyond 20 digits
+  digits.append(static_cast<std::size_t>(exp), '0');
+  errno = 0;
+  *magnitude = std::strtoull(digits.c_str(), nullptr, 10);
+  return errno != ERANGE;
+}
 
 namespace {
 
@@ -224,7 +280,7 @@ Value parse(const std::string& text, const ParseLimits& limits) {
   return Parser(text, limits).parse();
 }
 
-void escape(const std::string& s, std::string& out) {
+void escape(std::string_view s, std::string& out) {
   out.push_back('"');
   for (const char ch : s) {
     switch (ch) {
@@ -265,5 +321,11 @@ void append_double(double v, std::string& out) {
 }
 
 void append_bool(bool v, std::string& out) { out += v ? "true" : "false"; }
+
+void key(std::string_view k, std::string& out) {
+  if (out.back() != '{') out.push_back(',');
+  escape(k, out);
+  out.push_back(':');
+}
 
 }  // namespace gia::core::json

@@ -1,14 +1,13 @@
 #pragma once
 
-#include <cmath>
 #include <cstdio>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
 #include <vector>
 
 #include "core/flow.hpp"
+#include "core/json.hpp"
 #include "core/stagegraph.hpp"
 #include "tech/technology.hpp"
 
@@ -249,15 +248,6 @@ void walk_readonly(const tech::TechnologyKind& tk, const FlowOptions& o, V& v) {
   walk(const_cast<tech::TechnologyKind&>(tk), const_cast<FlowOptions&>(o), v);
 }
 
-/// True when `x` converts to T exactly: any double, else an integer (0 or
-/// 1 for bool) inside T's range. NaN fails every comparison.
-template <typename T>
-bool fits(double x) {
-  return std::is_same_v<T, double> ||
-         (x >= static_cast<double>(std::numeric_limits<T>::lowest()) &&
-          x <= static_cast<double>(std::numeric_limits<T>::max()) && x == std::trunc(x));
-}
-
 /// Dotted section prefix for path-aware visitors; enters every section.
 struct Path {
   std::string prefix;
@@ -338,7 +328,7 @@ struct Setter : Path {
     if (found || dotted(f.name) != path) return;
     found = true;
     if (text != nullptr) fail("is numeric, not a token");
-    if (!fits<T>(number)) fail("needs an integer its type can hold");
+    if (!json::fits<T>(number)) fail("needs an integer its type can hold");
     f.value = static_cast<T>(number);
   }
   template <typename S>

@@ -1,6 +1,11 @@
 #include "core/serialize.hpp"
 
+#include <algorithm>
+#include <initializer_list>
+#include <map>
+#include <optional>
 #include <stdexcept>
+#include <vector>
 
 #include "tech/library.hpp"
 
@@ -8,406 +13,407 @@ namespace gia::core {
 
 namespace {
 
-// Writer helpers: `key(out, "name")` then one value appender. Keys are
-// emitted in a fixed order so the output is canonical.
-void key(std::string& out, const char* k) {
-  if (out.back() != '{' && out.back() != '[') out.push_back(',');
-  json::escape(k, out);
-  out.push_back(':');
+// One walk per summary struct names every serialized field once, in key
+// order. The writer and the strict reader below are its two visitors:
+//   field(name, T&)                T = double, int, long or bool
+//   token(name, spelling, parse)   parse(text) is false for an unknown word
+//   object(name, S&) / optional(name, std::optional<S>&)   null when empty
+//   doubles(name, std::vector<double>&) / fixed(name, {double*, ...})
+//   map(name, std::map<std::string, S>&, &S::key)   keyed by S::key
+//   require(ok, what)              a rule the reader enforces
+
+template <typename V>
+void walk(V& v, netlist::SerDesReport& s) {
+  v.field("buses_serialized", s.buses_serialized);
+  v.field("wires_before", s.wires_before);
+  v.field("wires_after", s.wires_after);
+  v.field("serdes_instances_added", s.serdes_instances_added);
+  v.field("added_cells", s.added_cells);
+  v.field("latency_cycles", s.latency_cycles);
 }
 
-void put_d(std::string& out, const char* k, double v) {
-  key(out, k);
-  json::append_double(v, out);
-}
-void put_i(std::string& out, const char* k, std::int64_t v) {
-  key(out, k);
-  json::append_i64(v, out);
-}
-void put_b(std::string& out, const char* k, bool v) {
-  key(out, k);
-  json::append_bool(v, out);
-}
-void put_s(std::string& out, const char* k, const std::string& v) {
-  key(out, k);
-  json::escape(v, out);
+template <typename V>
+void walk(V& v, partition::PartitionResult& p) {
+  v.field("cut_wires", p.cut_wires);
+  v.field("memory_fraction", p.memory_fraction);
 }
 
-void serdes_json(std::string& out, const netlist::SerDesReport& s) {
-  out += "{";
-  put_i(out, "buses_serialized", s.buses_serialized);
-  put_i(out, "wires_before", s.wires_before);
-  put_i(out, "wires_after", s.wires_after);
-  put_i(out, "serdes_instances_added", s.serdes_instances_added);
-  put_i(out, "added_cells", s.added_cells);
-  put_i(out, "latency_cycles", s.latency_cycles);
-  out += "}";
+template <typename V>
+void walk(V& v, chiplet::BumpPlan& p) {
+  v.field("signal_bumps", p.signal_bumps);
+  v.field("pg_bumps", p.pg_bumps);
+  v.field("width_um", p.width_um);
+  v.field("bump_limited", p.bump_limited);
 }
 
-void bump_plan_json(std::string& out, const chiplet::BumpPlan& p) {
-  out += "{";
-  put_i(out, "signal_bumps", p.signal_bumps);
-  put_i(out, "pg_bumps", p.pg_bumps);
-  put_d(out, "width_um", p.width_um);
-  put_b(out, "bump_limited", p.bump_limited);
-  out += "}";
+template <typename V>
+void walk(V& v, chiplet::ChipletPair& p) {
+  v.object("logic", p.logic);
+  v.object("memory", p.memory);
 }
 
-void pnr_json(std::string& out, const chiplet::ChipletPnrResult& c) {
-  out += "{";
-  put_s(out, "side", c.side == netlist::ChipletSide::Logic ? "logic" : "memory");
-  put_d(out, "fmax_hz", c.fmax_hz);
-  put_d(out, "footprint_um", c.footprint_um);
-  put_i(out, "cell_count", c.cell_count);
-  put_d(out, "utilization", c.utilization);
-  put_d(out, "wirelength_m", c.wirelength_m);
-  key(out, "power");
-  out += "{";
-  put_d(out, "internal_w", c.power.internal_w);
-  put_d(out, "switching_w", c.power.switching_w);
-  put_d(out, "leakage_w", c.power.leakage_w);
-  put_d(out, "total_w", c.power.total_w);
-  put_d(out, "pin_cap_f", c.power.pin_cap_f);
-  put_d(out, "wire_cap_f", c.power.wire_cap_f);
-  out += "}";
-  key(out, "congestion");
-  out += "{";
-  put_d(out, "demand_um", c.congestion.demand_um);
-  put_d(out, "capacity_um", c.congestion.capacity_um);
-  put_d(out, "utilization", c.congestion.utilization);
-  put_d(out, "detour_factor", c.congestion.detour_factor);
-  out += "}";
-  put_i(out, "aib_lanes", c.aib_lanes);
-  put_d(out, "aib_area_um2", c.aib_area_um2);
-  put_d(out, "aib_area_frac", c.aib_area_frac);
-  put_d(out, "aib_power_w", c.aib_power_w);
-  put_d(out, "aib_power_frac", c.aib_power_frac);
-  put_b(out, "timing_met", c.timing_met);
-  out += "}";
+template <typename V>
+void walk(V& v, chiplet::PowerResult& p) {
+  v.field("internal_w", p.internal_w);
+  v.field("switching_w", p.switching_w);
+  v.field("leakage_w", p.leakage_w);
+  v.field("total_w", p.total_w);
+  v.field("pin_cap_f", p.pin_cap_f);
+  v.field("wire_cap_f", p.wire_cap_f);
 }
 
-void interposer_json(std::string& out, const interposer::InterposerDesign& d) {
-  out += "{";
-  key(out, "outline");
-  out += "[";
-  json::append_double(d.floorplan.outline.lx, out);
-  out += ",";
-  json::append_double(d.floorplan.outline.ly, out);
-  out += ",";
-  json::append_double(d.floorplan.outline.ux, out);
-  out += ",";
-  json::append_double(d.floorplan.outline.uy, out);
-  out += "]";
-  const auto& s = d.routes.stats;
-  key(out, "route_stats");
-  out += "{";
-  put_d(out, "total_wl_um", s.total_wl_um);
-  put_d(out, "min_wl_um", s.min_wl_um);
-  put_d(out, "avg_wl_um", s.avg_wl_um);
-  put_d(out, "max_wl_um", s.max_wl_um);
-  put_i(out, "total_vias", s.total_vias);
-  put_i(out, "vertical_via_pairs", s.vertical_via_pairs);
-  put_i(out, "signal_layers_available", s.signal_layers_available);
-  put_i(out, "signal_layers_used", s.signal_layers_used);
-  put_i(out, "overflowed_cells", s.overflowed_cells);
-  put_i(out, "routed_nets", s.routed_nets);
-  out += "}";
-  out += "}";
+template <typename V>
+void walk(V& v, chiplet::CongestionResult& c) {
+  v.field("demand_um", c.demand_um);
+  v.field("capacity_um", c.capacity_um);
+  v.field("utilization", c.utilization);
+  v.field("detour_factor", c.detour_factor);
 }
 
-void link_json(std::string& out, const LinkStudy& l) {
-  out += "{";
-  put_d(out, "length_um", l.spec.length_um);
-  put_d(out, "bit_rate_hz", l.spec.bit_rate_hz);
-  key(out, "result");
-  out += "{";
-  put_d(out, "driver_delay_s", l.result.driver_delay_s);
-  put_d(out, "interconnect_delay_s", l.result.interconnect_delay_s);
-  put_d(out, "total_delay_s", l.result.total_delay_s);
-  put_d(out, "driver_power_w", l.result.driver_power_w);
-  put_d(out, "interconnect_power_w", l.result.interconnect_power_w);
-  put_d(out, "total_power_w", l.result.total_power_w);
-  out += "}";
-  key(out, "eye");
-  if (l.eye.has_value()) {
-    out += "{";
-    put_d(out, "width_s", l.eye->width_s);
-    put_d(out, "height_v", l.eye->height_v);
-    put_d(out, "ui_s", l.eye->ui_s);
-    put_d(out, "mean_high_v", l.eye->mean_high_v);
-    put_d(out, "mean_low_v", l.eye->mean_low_v);
-    put_d(out, "sigma_high_v", l.eye->sigma_high_v);
-    put_d(out, "sigma_low_v", l.eye->sigma_low_v);
-    out += "}";
-  } else {
+template <typename V>
+void walk(V& v, chiplet::ChipletPnrResult& c) {
+  using netlist::ChipletSide;
+  v.token("side", c.side == ChipletSide::Logic ? "logic" : "memory",
+          [&c](const std::string& s) {
+            if (s != "logic" && s != "memory") return false;
+            c.side = s == "logic" ? ChipletSide::Logic : ChipletSide::Memory;
+            return true;
+          });
+  v.field("fmax_hz", c.fmax_hz);
+  v.field("footprint_um", c.footprint_um);
+  v.field("cell_count", c.cell_count);
+  v.field("utilization", c.utilization);
+  v.field("wirelength_m", c.wirelength_m);
+  v.object("power", c.power);
+  v.object("congestion", c.congestion);
+  v.field("aib_lanes", c.aib_lanes);
+  v.field("aib_area_um2", c.aib_area_um2);
+  v.field("aib_area_frac", c.aib_area_frac);
+  v.field("aib_power_w", c.aib_power_w);
+  v.field("aib_power_frac", c.aib_power_frac);
+  v.field("timing_met", c.timing_met);
+}
+
+template <typename V>
+void walk(V& v, interposer::RouteStats& s) {
+  v.field("total_wl_um", s.total_wl_um);
+  v.field("min_wl_um", s.min_wl_um);
+  v.field("avg_wl_um", s.avg_wl_um);
+  v.field("max_wl_um", s.max_wl_um);
+  v.field("total_vias", s.total_vias);
+  v.field("vertical_via_pairs", s.vertical_via_pairs);
+  v.field("signal_layers_available", s.signal_layers_available);
+  v.field("signal_layers_used", s.signal_layers_used);
+  v.field("overflowed_cells", s.overflowed_cells);
+  v.field("routed_nets", s.routed_nets);
+}
+
+template <typename V>
+void walk(V& v, interposer::InterposerDesign& d) {
+  geometry::Rect& o = d.floorplan.outline;
+  v.fixed("outline", {&o.lx, &o.ly, &o.ux, &o.uy});
+  v.object("route_stats", d.routes.stats);
+}
+
+template <typename V>
+void walk(V& v, signal::LinkResult& r) {
+  v.field("driver_delay_s", r.driver_delay_s);
+  v.field("interconnect_delay_s", r.interconnect_delay_s);
+  v.field("total_delay_s", r.total_delay_s);
+  v.field("driver_power_w", r.driver_power_w);
+  v.field("interconnect_power_w", r.interconnect_power_w);
+  v.field("total_power_w", r.total_power_w);
+}
+
+template <typename V>
+void walk(V& v, signal::EyeResult& e) {
+  v.field("width_s", e.width_s);
+  v.field("height_v", e.height_v);
+  v.field("ui_s", e.ui_s);
+  v.field("mean_high_v", e.mean_high_v);
+  v.field("mean_low_v", e.mean_low_v);
+  v.field("sigma_high_v", e.sigma_high_v);
+  v.field("sigma_low_v", e.sigma_low_v);
+}
+
+template <typename V>
+void walk(V& v, LinkStudy& l) {
+  v.field("length_um", l.spec.length_um);
+  v.field("bit_rate_hz", l.spec.bit_rate_hz);
+  v.object("result", l.result);
+  v.optional("eye", l.eye);
+}
+
+template <typename V>
+void walk(V& v, pdn::PdnModel& m) {
+  v.field("l_feed", m.l_feed);
+  v.field("r_feed", m.r_feed);
+  v.field("c_plane", m.c_plane);
+  v.field("r_plane", m.r_plane);
+  v.field("l_plane", m.l_plane);
+  v.field("l_entry", m.l_entry);
+  v.field("r_entry", m.r_entry);
+  v.field("r_substrate_loss", m.r_substrate_loss);
+}
+
+template <typename V>
+void walk(V& v, pdn::ImpedanceProfile& p) {
+  v.doubles("freq_hz", p.freq_hz);
+  v.doubles("z_ohm", p.z_ohm);
+  // ImpedanceProfile::at() indexes z_ohm by the freq_hz position.
+  v.require(p.freq_hz.size() == p.z_ohm.size(), "freq_hz and z_ohm differ in length");
+}
+
+template <typename V>
+void walk(V& v, pdn::IrDropResult& r) {
+  v.field("max_drop_v", r.max_drop_v);
+  v.field("avg_drop_v", r.avg_drop_v);
+}
+
+template <typename V>
+void walk(V& v, pdn::SettlingResult& r) {
+  v.field("settling_time_s", r.settling_time_s);
+  v.field("worst_droop_v", r.worst_droop_v);
+}
+
+template <typename V>
+void walk(V& v, thermal::DieThermal& d) {
+  v.field("hotspot_c", d.hotspot_c);
+  v.field("average_c", d.average_c);
+}
+
+template <typename V>
+void walk(V& v, thermal::ThermalReport& t) {
+  v.map("dies", t.dies, &thermal::DieThermal::die);
+  v.field("interposer_hotspot_c", t.interposer_hotspot_c);
+  v.field("ambient_c", t.ambient_c);
+  v.field("hotspot_spread", t.hotspot_spread);
+}
+
+/// The technology is stored as its kind token and rebuilt from the library.
+template <typename V>
+void walk(V& v, TechnologyResult& r) {
+  v.token("tech", tech::short_name(r.technology.kind), [&r](const std::string& s) {
+    tech::TechnologyKind kind;
+    if (!tech::parse_kind(s, &kind)) return false;
+    r.technology = tech::make_technology(kind);
+    return true;
+  });
+  v.object("serdes", r.serdes);
+  v.object("partition", r.partition);
+  v.object("plans", r.plans);
+  v.object("logic", r.logic);
+  v.object("memory", r.memory);
+  v.object("interposer", r.interposer);
+  v.object("l2m", r.l2m);
+  v.object("l2l", r.l2l);
+  v.object("pdn_model", r.pdn_model);
+  v.object("pdn_impedance", r.pdn_impedance);
+  v.object("ir_drop", r.ir_drop);
+  v.object("settling", r.settling);
+  v.optional("thermal", r.thermal);
+  v.field("total_power_w", r.total_power_w);
+  v.field("system_fmax_hz", r.system_fmax_hz);
+  v.field("link_timing_met", r.link_timing_met);
+}
+
+template <typename V>
+void walk(V& v, HeadlineMetrics& h) {
+  v.field("area_reduction_x", h.area_reduction_x);
+  v.field("wirelength_reduction_x", h.wirelength_reduction_x);
+  v.field("power_reduction_pct", h.power_reduction_pct);
+  v.field("si_improvement_pct", h.si_improvement_pct);
+  v.field("pi_improvement_x", h.pi_improvement_x);
+  v.field("thermal_increase_pct", h.thermal_increase_pct);
+}
+
+// --- Writer -----------------------------------------------------------------
+
+/// Canonical single-line JSON in walk order. It never assigns, so the
+/// public writers walk their const argument through a const_cast.
+struct Writer {
+  std::string out;
+
+  template <typename T>
+  void field(const char* k, const T& x) {
+    json::member(k, x, out);
+  }
+  template <typename Parse>
+  void token(const char* k, const char* spelling, const Parse&) {
+    json::member(k, spelling, out);
+  }
+  template <typename S>
+  void object(const char* k, S& s) {
+    json::key(k, out);
+    out.push_back('{');
+    walk(*this, s);
+    out.push_back('}');
+  }
+  template <typename S>
+  void optional(const char* k, std::optional<S>& o) {
+    if (o.has_value()) return object(k, *o);
+    json::key(k, out);
     out += "null";
   }
-  out += "}";
-}
-
-void thermal_json(std::string& out, const thermal::ThermalReport& t) {
-  out += "{";
-  key(out, "dies");
-  out += "{";
-  for (const auto& [name, die] : t.dies) {
-    key(out, name.c_str());
-    out += "{";
-    put_d(out, "hotspot_c", die.hotspot_c);
-    put_d(out, "average_c", die.average_c);
-    out += "}";
+  void doubles(const char* k, const std::vector<double>& xs) {
+    json::key(k, out);
+    out.push_back('[');
+    for (const double x : xs) {
+      if (out.back() != '[') out.push_back(',');
+      json::append_double(x, out);
+    }
+    out.push_back(']');
   }
-  out += "}";
-  put_d(out, "interposer_hotspot_c", t.interposer_hotspot_c);
-  put_d(out, "ambient_c", t.ambient_c);
-  put_d(out, "hotspot_spread", t.hotspot_spread);
-  out += "}";
+  void fixed(const char* k, std::initializer_list<double*> xs) {
+    std::vector<double> values;
+    for (const double* x : xs) values.push_back(*x);
+    doubles(k, values);
+  }
+  template <typename S>
+  void map(const char* k, std::map<std::string, S>& m, std::string S::*) {
+    json::key(k, out);
+    out.push_back('{');
+    for (auto& [name, s] : m) object(name.c_str(), s);
+    out.push_back('}');
+  }
+  void require(bool, const char*) {}
+};
+
+template <typename S>
+std::string to_json(const char* top, const S& s) {
+  Writer w;
+  w.out = "{";
+  w.object(top, const_cast<S&>(s));
+  w.out.push_back('}');
+  return std::move(w.out);
 }
 
-// --- Readers --------------------------------------------------------------
+// --- Strict reader ----------------------------------------------------------
 
-netlist::SerDesReport serdes_from(const json::Value& v) {
-  netlist::SerDesReport s;
-  s.buses_serialized = static_cast<int>(v.at("buses_serialized").as_i64());
-  s.wires_before = static_cast<int>(v.at("wires_before").as_i64());
-  s.wires_after = static_cast<int>(v.at("wires_after").as_i64());
-  s.serdes_instances_added = static_cast<int>(v.at("serdes_instances_added").as_i64());
-  s.added_cells = static_cast<int>(v.at("added_cells").as_i64());
-  s.latency_cycles = static_cast<int>(v.at("latency_cycles").as_i64());
+/// Reads one JSON object through a walk: every row's key must be present
+/// with its JSON kind and a value its C++ type holds (json::Value::as),
+/// and the object may carry no other key. Errors name the dotted path.
+class Reader {
+ public:
+  Reader(const json::Value& obj, const Reader* parent, const char* name)
+      : obj_(obj), parent_(parent), name_(name) {}
+
+  template <typename T>
+  void field(const char* k, T& x) {
+    x = read<T>(member(k), k);
+  }
+  template <typename Parse>
+  void token(const char* k, const char*, const Parse& parse) {
+    const std::string s = read<std::string>(member(k), k);
+    if (!parse(s)) fail(k, "has an unknown value \"" + s + "\"");
+  }
+  template <typename S>
+  void object(const char* k, S& s) {
+    nested(member(k), k, s);
+  }
+  template <typename S>
+  void optional(const char* k, std::optional<S>& o) {
+    const json::Value& m = member(k);
+    if (m.kind == json::Value::Kind::Null) return o.reset();
+    if (m.kind != json::Value::Kind::Object) fail(k, "must be an object or null");
+    nested(m, k, o.emplace());
+  }
+  void doubles(const char* k, std::vector<double>& xs) {
+    const json::Value& m = member(k);
+    if (m.kind != json::Value::Kind::Array) fail(k, "must be an array of numbers");
+    xs.clear();
+    for (const json::Value& e : m.arr) xs.push_back(read<double>(e, k));
+  }
+  void fixed(const char* k, std::initializer_list<double*> xs) {
+    const json::Value& m = member(k);
+    if (m.kind != json::Value::Kind::Array || m.arr.size() != xs.size()) {
+      fail(k, "must be an array of " + std::to_string(xs.size()) + " numbers");
+    }
+    const json::Value* e = m.arr.data();
+    for (double* x : xs) *x = read<double>(*e++, k);
+  }
+  template <typename S>
+  void map(const char* k, std::map<std::string, S>& out, std::string S::*key) {
+    const json::Value& m = member(k);
+    if (m.kind != json::Value::Kind::Object) fail(k, "must be an object");
+    const Reader entries(m, this, k);
+    out.clear();
+    for (const auto& [name, e] : m.obj) {
+      auto [it, fresh] = out.try_emplace(name);
+      if (!fresh) entries.fail(name.c_str(), "is repeated");
+      it->second.*key = name;
+      entries.nested(e, name.c_str(), it->second);
+    }
+  }
+  void require(bool ok, const char* what) const {
+    if (!ok) fail(nullptr, what);
+  }
+
+  /// After the walk: every member must have been claimed by exactly one row.
+  void finish() const {
+    if (seen_.size() == obj_.obj.size()) return;
+    for (const auto& [k, v] : obj_.obj) {
+      if (std::find(seen_.begin(), seen_.end(), k) == seen_.end()) {
+        fail(k.c_str(), "is not a known key");
+      }
+    }
+    fail(nullptr, "repeats a key");
+  }
+
+ private:
+  const json::Value& member(const char* k) {
+    seen_.push_back(k);
+    const json::Value* m = obj_.find(k);
+    if (m == nullptr) fail(k, "is missing");
+    return *m;
+  }
+  template <typename S>
+  void nested(const json::Value& m, const char* k, S& s) const {
+    if (m.kind != json::Value::Kind::Object) fail(k, "must be an object");
+    Reader child(m, this, k);
+    walk(child, s);
+    child.finish();
+  }
+  template <typename T>
+  T read(const json::Value& m, const char* k) const {
+    try {
+      return m.as<T>();
+    } catch (const std::runtime_error& e) {
+      fail(k, e.what());
+    }
+  }
+  std::string path(const char* k) const {
+    std::string p = parent_ != nullptr ? parent_->path(name_) : std::string();
+    if (k == nullptr) return p;
+    return p.empty() ? k : p + "." + k;
+  }
+  [[noreturn]] void fail(const char* k, const std::string& what) const {
+    throw std::runtime_error("result JSON: \"" + path(k) + "\" " + what);
+  }
+
+  const json::Value& obj_;
+  const Reader* parent_;
+  const char* name_;
+  std::vector<std::string_view> seen_;
+};
+
+template <typename S>
+S from_json(const json::Value& top, const char* name) {
+  S s;
+  Reader r(top, nullptr, nullptr);
+  r.object(name, s);
+  r.finish();
   return s;
-}
-
-chiplet::BumpPlan bump_plan_from(const json::Value& v) {
-  chiplet::BumpPlan p;
-  p.signal_bumps = static_cast<int>(v.at("signal_bumps").as_i64());
-  p.pg_bumps = static_cast<int>(v.at("pg_bumps").as_i64());
-  p.width_um = v.at("width_um").as_double();
-  p.bump_limited = v.at("bump_limited").as_bool();
-  return p;
-}
-
-chiplet::ChipletPnrResult pnr_from(const json::Value& v) {
-  chiplet::ChipletPnrResult c;
-  c.side = v.at("side").str == "logic" ? netlist::ChipletSide::Logic
-                                       : netlist::ChipletSide::Memory;
-  c.fmax_hz = v.at("fmax_hz").as_double();
-  c.footprint_um = v.at("footprint_um").as_double();
-  c.cell_count = static_cast<long>(v.at("cell_count").as_i64());
-  c.utilization = v.at("utilization").as_double();
-  c.wirelength_m = v.at("wirelength_m").as_double();
-  const json::Value& p = v.at("power");
-  c.power.internal_w = p.at("internal_w").as_double();
-  c.power.switching_w = p.at("switching_w").as_double();
-  c.power.leakage_w = p.at("leakage_w").as_double();
-  c.power.total_w = p.at("total_w").as_double();
-  c.power.pin_cap_f = p.at("pin_cap_f").as_double();
-  c.power.wire_cap_f = p.at("wire_cap_f").as_double();
-  const json::Value& g = v.at("congestion");
-  c.congestion.demand_um = g.at("demand_um").as_double();
-  c.congestion.capacity_um = g.at("capacity_um").as_double();
-  c.congestion.utilization = g.at("utilization").as_double();
-  c.congestion.detour_factor = g.at("detour_factor").as_double();
-  c.aib_lanes = static_cast<int>(v.at("aib_lanes").as_i64());
-  c.aib_area_um2 = v.at("aib_area_um2").as_double();
-  c.aib_area_frac = v.at("aib_area_frac").as_double();
-  c.aib_power_w = v.at("aib_power_w").as_double();
-  c.aib_power_frac = v.at("aib_power_frac").as_double();
-  c.timing_met = v.at("timing_met").as_bool();
-  return c;
-}
-
-void interposer_from(const json::Value& v, interposer::InterposerDesign* d) {
-  const json::Value& o = v.at("outline");
-  if (o.arr.size() != 4) throw std::runtime_error("technology_result JSON: bad outline");
-  d->floorplan.outline = {o.arr[0].as_double(), o.arr[1].as_double(), o.arr[2].as_double(),
-                          o.arr[3].as_double()};
-  const json::Value& s = v.at("route_stats");
-  auto& st = d->routes.stats;
-  st.total_wl_um = s.at("total_wl_um").as_double();
-  st.min_wl_um = s.at("min_wl_um").as_double();
-  st.avg_wl_um = s.at("avg_wl_um").as_double();
-  st.max_wl_um = s.at("max_wl_um").as_double();
-  st.total_vias = static_cast<int>(s.at("total_vias").as_i64());
-  st.vertical_via_pairs = static_cast<int>(s.at("vertical_via_pairs").as_i64());
-  st.signal_layers_available = static_cast<int>(s.at("signal_layers_available").as_i64());
-  st.signal_layers_used = static_cast<int>(s.at("signal_layers_used").as_i64());
-  st.overflowed_cells = static_cast<int>(s.at("overflowed_cells").as_i64());
-  st.routed_nets = static_cast<int>(s.at("routed_nets").as_i64());
-}
-
-LinkStudy link_from(const json::Value& v) {
-  LinkStudy l;
-  l.spec.length_um = v.at("length_um").as_double();
-  l.spec.bit_rate_hz = v.at("bit_rate_hz").as_double();
-  const json::Value& r = v.at("result");
-  l.result.driver_delay_s = r.at("driver_delay_s").as_double();
-  l.result.interconnect_delay_s = r.at("interconnect_delay_s").as_double();
-  l.result.total_delay_s = r.at("total_delay_s").as_double();
-  l.result.driver_power_w = r.at("driver_power_w").as_double();
-  l.result.interconnect_power_w = r.at("interconnect_power_w").as_double();
-  l.result.total_power_w = r.at("total_power_w").as_double();
-  const json::Value& e = v.at("eye");
-  if (e.kind == json::Value::Kind::Object) {
-    signal::EyeResult eye;
-    eye.width_s = e.at("width_s").as_double();
-    eye.height_v = e.at("height_v").as_double();
-    eye.ui_s = e.at("ui_s").as_double();
-    eye.mean_high_v = e.at("mean_high_v").as_double();
-    eye.mean_low_v = e.at("mean_low_v").as_double();
-    eye.sigma_high_v = e.at("sigma_high_v").as_double();
-    eye.sigma_low_v = e.at("sigma_low_v").as_double();
-    l.eye = eye;
-  }
-  return l;
-}
-
-thermal::ThermalReport thermal_from(const json::Value& v) {
-  thermal::ThermalReport t;
-  for (const auto& [name, die] : v.at("dies").obj) {
-    thermal::DieThermal d;
-    d.die = name;
-    d.hotspot_c = die.at("hotspot_c").as_double();
-    d.average_c = die.at("average_c").as_double();
-    t.dies.emplace(name, d);
-  }
-  t.interposer_hotspot_c = v.at("interposer_hotspot_c").as_double();
-  t.ambient_c = v.at("ambient_c").as_double();
-  t.hotspot_spread = v.at("hotspot_spread").as_double();
-  return t;
 }
 
 }  // namespace
 
 std::string technology_result_to_json(const TechnologyResult& r) {
-  std::string out = "{\"technology_result\":{";
-  put_s(out, "tech", tech::short_name(r.technology.kind));
-
-  key(out, "serdes");
-  serdes_json(out, r.serdes);
-
-  key(out, "partition");
-  out += "{";
-  put_i(out, "cut_wires", r.partition.cut_wires);
-  put_d(out, "memory_fraction", r.partition.memory_fraction);
-  out += "}";
-
-  key(out, "plans");
-  out += "{";
-  key(out, "logic");
-  bump_plan_json(out, r.plans.logic);
-  key(out, "memory");
-  bump_plan_json(out, r.plans.memory);
-  out += "}";
-
-  key(out, "logic");
-  pnr_json(out, r.logic);
-  key(out, "memory");
-  pnr_json(out, r.memory);
-
-  key(out, "interposer");
-  interposer_json(out, r.interposer);
-
-  key(out, "l2m");
-  link_json(out, r.l2m);
-  key(out, "l2l");
-  link_json(out, r.l2l);
-
-  key(out, "pdn_model");
-  out += "{";
-  put_d(out, "l_feed", r.pdn_model.l_feed);
-  put_d(out, "r_feed", r.pdn_model.r_feed);
-  put_d(out, "c_plane", r.pdn_model.c_plane);
-  put_d(out, "r_plane", r.pdn_model.r_plane);
-  put_d(out, "l_plane", r.pdn_model.l_plane);
-  put_d(out, "l_entry", r.pdn_model.l_entry);
-  put_d(out, "r_entry", r.pdn_model.r_entry);
-  put_d(out, "r_substrate_loss", r.pdn_model.r_substrate_loss);
-  out += "}";
-
-  key(out, "pdn_impedance");
-  out += "{";
-  key(out, "freq_hz");
-  out += "[";
-  for (std::size_t i = 0; i < r.pdn_impedance.freq_hz.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    json::append_double(r.pdn_impedance.freq_hz[i], out);
-  }
-  out += "]";
-  key(out, "z_ohm");
-  out += "[";
-  for (std::size_t i = 0; i < r.pdn_impedance.z_ohm.size(); ++i) {
-    if (i > 0) out.push_back(',');
-    json::append_double(r.pdn_impedance.z_ohm[i], out);
-  }
-  out += "]";
-  out += "}";
-
-  key(out, "ir_drop");
-  out += "{";
-  put_d(out, "max_drop_v", r.ir_drop.max_drop_v);
-  put_d(out, "avg_drop_v", r.ir_drop.avg_drop_v);
-  out += "}";
-
-  key(out, "settling");
-  out += "{";
-  put_d(out, "settling_time_s", r.settling.settling_time_s);
-  put_d(out, "worst_droop_v", r.settling.worst_droop_v);
-  out += "}";
-
-  key(out, "thermal");
-  if (r.thermal.has_value()) {
-    thermal_json(out, *r.thermal);
-  } else {
-    out += "null";
-  }
-
-  put_d(out, "total_power_w", r.total_power_w);
-  put_d(out, "system_fmax_hz", r.system_fmax_hz);
-  put_b(out, "link_timing_met", r.link_timing_met);
-  out += "}}";
-  return out;
+  return to_json("technology_result", r);
 }
 
 TechnologyResult technology_result_from_value(const json::Value& top) {
-  const json::Value& v = top.at("technology_result");
-  TechnologyResult r;
-  tech::TechnologyKind kind;
-  if (!tech::parse_kind(v.at("tech").str, &kind)) {
-    throw std::runtime_error("technology_result JSON: unknown tech \"" + v.at("tech").str +
-                             "\"");
-  }
-  r.technology = tech::make_technology(kind);
-  r.serdes = serdes_from(v.at("serdes"));
-  r.partition.cut_wires = static_cast<int>(v.at("partition").at("cut_wires").as_i64());
-  r.partition.memory_fraction = v.at("partition").at("memory_fraction").as_double();
-  r.plans.logic = bump_plan_from(v.at("plans").at("logic"));
-  r.plans.memory = bump_plan_from(v.at("plans").at("memory"));
-  r.logic = pnr_from(v.at("logic"));
-  r.memory = pnr_from(v.at("memory"));
-  interposer_from(v.at("interposer"), &r.interposer);
-  r.l2m = link_from(v.at("l2m"));
-  r.l2l = link_from(v.at("l2l"));
-  const json::Value& pm = v.at("pdn_model");
-  r.pdn_model.l_feed = pm.at("l_feed").as_double();
-  r.pdn_model.r_feed = pm.at("r_feed").as_double();
-  r.pdn_model.c_plane = pm.at("c_plane").as_double();
-  r.pdn_model.r_plane = pm.at("r_plane").as_double();
-  r.pdn_model.l_plane = pm.at("l_plane").as_double();
-  r.pdn_model.l_entry = pm.at("l_entry").as_double();
-  r.pdn_model.r_entry = pm.at("r_entry").as_double();
-  r.pdn_model.r_substrate_loss = pm.at("r_substrate_loss").as_double();
-  const json::Value& pi = v.at("pdn_impedance");
-  for (const auto& f : pi.at("freq_hz").arr) r.pdn_impedance.freq_hz.push_back(f.as_double());
-  for (const auto& z : pi.at("z_ohm").arr) r.pdn_impedance.z_ohm.push_back(z.as_double());
-  r.ir_drop.max_drop_v = v.at("ir_drop").at("max_drop_v").as_double();
-  r.ir_drop.avg_drop_v = v.at("ir_drop").at("avg_drop_v").as_double();
-  r.settling.settling_time_s = v.at("settling").at("settling_time_s").as_double();
-  r.settling.worst_droop_v = v.at("settling").at("worst_droop_v").as_double();
-  const json::Value& th = v.at("thermal");
-  if (th.kind == json::Value::Kind::Object) r.thermal = thermal_from(th);
-  r.total_power_w = v.at("total_power_w").as_double();
-  r.system_fmax_hz = v.at("system_fmax_hz").as_double();
-  r.link_timing_met = v.at("link_timing_met").as_bool();
-  return r;
+  return from_json<TechnologyResult>(top, "technology_result");
 }
 
 TechnologyResult technology_result_from_json(const std::string& text) {
@@ -415,28 +421,11 @@ TechnologyResult technology_result_from_json(const std::string& text) {
 }
 
 std::string headline_metrics_to_json(const HeadlineMetrics& h) {
-  std::string out = "{\"headline_metrics\":{";
-  put_d(out, "area_reduction_x", h.area_reduction_x);
-  put_d(out, "wirelength_reduction_x", h.wirelength_reduction_x);
-  put_d(out, "power_reduction_pct", h.power_reduction_pct);
-  put_d(out, "si_improvement_pct", h.si_improvement_pct);
-  put_d(out, "pi_improvement_x", h.pi_improvement_x);
-  put_d(out, "thermal_increase_pct", h.thermal_increase_pct);
-  out += "}}";
-  return out;
+  return to_json("headline_metrics", h);
 }
 
 HeadlineMetrics headline_metrics_from_json(const std::string& text) {
-  const json::Value top = json::parse(text);
-  const json::Value& v = top.at("headline_metrics");
-  HeadlineMetrics h;
-  h.area_reduction_x = v.at("area_reduction_x").as_double();
-  h.wirelength_reduction_x = v.at("wirelength_reduction_x").as_double();
-  h.power_reduction_pct = v.at("power_reduction_pct").as_double();
-  h.si_improvement_pct = v.at("si_improvement_pct").as_double();
-  h.pi_improvement_x = v.at("pi_improvement_x").as_double();
-  h.thermal_increase_pct = v.at("thermal_increase_pct").as_double();
-  return h;
+  return from_json<HeadlineMetrics>(json::parse(text), "headline_metrics");
 }
 
 }  // namespace gia::core

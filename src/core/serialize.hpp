@@ -29,9 +29,14 @@
 namespace gia::core {
 
 std::string technology_result_to_json(const TechnologyResult& r);
-/// Parse a result produced by `technology_result_to_json`. Throws
-/// std::runtime_error on malformed input. Fields outside the serialized
-/// summary are left default-initialized.
+/// Parse a result produced by `technology_result_to_json`. The reader is
+/// strict: every key must be present and no other key may appear, each value
+/// must have its field's JSON kind (an integer field takes no fraction and no
+/// value its type cannot hold; 1e3 reads as 1000), `side` and `tech` must be
+/// known tokens, an optional block is null or an object, and the impedance
+/// arrays must have equal length. Any violation throws std::runtime_error
+/// naming the dotted path. Fields outside the serialized summary are left
+/// default-initialized.
 TechnologyResult technology_result_from_json(const std::string& text);
 /// Same, from an already-parsed `{"technology_result":{...}}` document.
 TechnologyResult technology_result_from_value(const json::Value& top);

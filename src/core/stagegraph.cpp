@@ -597,36 +597,23 @@ StageCacheStats stage_cache_stats() { return cache().stats(); }
 
 std::string stage_cache_stats_json() {
   const StageCacheStats s = stage_cache_stats();
-  std::string out = "{\"enabled\":";
-  json::append_bool(s.enabled, out);
-  out += ",\"entries\":";
-  json::append_u64(s.entries, out);
-  out += ",\"capacity\":";
-  json::append_u64(s.capacity, out);
-  out += ",\"hits\":";
-  json::append_u64(s.total_hits(), out);
-  out += ",\"misses\":";
-  json::append_u64(s.total_misses(), out);
-  out += ",\"evictions\":";
-  json::append_u64(s.total_evictions(), out);
-  out += ",\"coalesced\":";
-  json::append_u64(s.total_coalesced(), out);
+  std::string out = "{";
+  json::member("enabled", s.enabled, out);
+  json::member("entries", s.entries, out);
+  json::member("capacity", s.capacity, out);
+  json::member("hits", s.total_hits(), out);
+  json::member("misses", s.total_misses(), out);
+  json::member("evictions", s.total_evictions(), out);
+  json::member("coalesced", s.total_coalesced(), out);
   out += ",\"stages\":{";
-  bool first = true;
   for (const StageInfo& si : kRegistry) {
     const auto& ps = s.stage[static_cast<std::size_t>(idx(si.id))];
-    if (!first) out.push_back(',');
-    first = false;
-    out.push_back('"');
-    out += si.name;
-    out += "\":{\"hits\":";
-    json::append_u64(ps.hits, out);
-    out += ",\"misses\":";
-    json::append_u64(ps.misses, out);
-    out += ",\"evictions\":";
-    json::append_u64(ps.evictions, out);
-    out += ",\"coalesced\":";
-    json::append_u64(ps.coalesced, out);
+    json::key(si.name, out);
+    out.push_back('{');
+    json::member("hits", ps.hits, out);
+    json::member("misses", ps.misses, out);
+    json::member("evictions", ps.evictions, out);
+    json::member("coalesced", ps.coalesced, out);
     out.push_back('}');
   }
   out += "}}";

@@ -56,23 +56,18 @@ Axis parse_axis(const std::string& name, const json::Value& v) {
     if (v.arr.empty()) fail("space." + name + ": axis must not be empty");
     for (const auto& e : v.arr) {
       if (axis.type == KnobType::Token) {
-        if (e.kind != json::Value::Kind::String) {
-          fail("space." + name + ": token axis values must be strings");
-        }
         // Validate the token eagerly: a typo'd technology fails at parse
         // time, not after half the search has run.
+        std::string token = e.as<std::string>("search: space." + name);
         serve::FlowRequest probe;
         try {
-          core::knobs::set(probe.tech, probe.options, name, e.str);
+          core::knobs::set(probe.tech, probe.options, name, token);
         } catch (const std::invalid_argument& err) {
           fail(std::string("space: ") + err.what());
         }
-        axis.tokens.push_back(e.str);
+        axis.tokens.push_back(std::move(token));
       } else {
-        if (e.kind != json::Value::Kind::Number) {
-          fail("space." + name + ": numeric axis values must be numbers");
-        }
-        axis.values.push_back(e.as_double());
+        axis.values.push_back(e.as<double>("search: space." + name));
       }
     }
   } else if (v.kind == json::Value::Kind::Object) {
@@ -86,8 +81,9 @@ Axis parse_axis(const std::string& name, const json::Value& v) {
     if (pmin == nullptr || pmax == nullptr || psteps == nullptr) {
       fail("space." + name + ": range needs min, max and steps");
     }
-    const double lo = pmin->as_double(), hi = pmax->as_double();
-    const std::int64_t steps = psteps->as_i64();
+    const double lo = pmin->as<double>("search: space." + name + ".min");
+    const double hi = pmax->as<double>("search: space." + name + ".max");
+    const std::int64_t steps = psteps->as<std::int64_t>("search: space." + name + ".steps");
     bool log_scale = false;
     if (const json::Value* ps = v.find("scale")) {
       if (ps->str == "log") {
@@ -341,11 +337,11 @@ SearchSpec spec_from_value(const json::Value& v) {
       c.metric = m->str;
       if (const json::Value* lo = e.find("min")) {
         c.has_min = true;
-        c.min = lo->as_double();
+        c.min = lo->as<double>("search: constraints.min");
       }
       if (const json::Value* hi = e.find("max")) {
         c.has_max = true;
-        c.max = hi->as_double();
+        c.max = hi->as<double>("search: constraints.max");
       }
       if (!c.has_min && !c.has_max) fail("constraints: need \"min\" and/or \"max\"");
       if (c.has_min && c.has_max && c.min > c.max) fail("constraints: min > max");
@@ -354,19 +350,23 @@ SearchSpec spec_from_value(const json::Value& v) {
   }
 
   if (const json::Value* x = obj.find("seed_points")) {
-    spec.seed_points = static_cast<int>(x->as_i64());
+    spec.seed_points = x->as<int>("search: seed_points");
     if (spec.seed_points < 1) fail("seed_points must be >= 1");
   }
   if (const json::Value* x = obj.find("refine_rounds")) {
-    spec.refine_rounds = static_cast<int>(x->as_i64());
+    spec.refine_rounds = x->as<int>("search: refine_rounds");
     if (spec.refine_rounds < 0) fail("refine_rounds must be >= 0");
   }
   if (const json::Value* x = obj.find("batch")) {
-    spec.batch = static_cast<int>(x->as_i64());
+    spec.batch = x->as<int>("search: batch");
     if (spec.batch < 1) fail("batch must be >= 1");
   }
-  if (const json::Value* x = obj.find("max_points")) spec.max_points = x->as_u64();
-  if (const json::Value* x = obj.find("point_events")) spec.point_events = x->as_bool();
+  if (const json::Value* x = obj.find("max_points")) {
+    spec.max_points = x->as<std::uint64_t>("search: max_points");
+  }
+  if (const json::Value* x = obj.find("point_events")) {
+    spec.point_events = x->as<bool>("search: point_events");
+  }
 
   // Objectives/constraints over the optional analyses imply those stages:
   // asking for hotspot_C without the thermal solve would make every point
@@ -417,10 +417,10 @@ std::string spec_to_json(const SearchSpec& spec) {
   out += ",\"objectives\":[";
   for (std::size_t i = 0; i < spec.objectives.size(); ++i) {
     if (i > 0) out.push_back(',');
-    out += "{\"metric\":";
-    json::escape(spec.objectives[i].metric, out);
-    out += ",\"direction\":";
-    json::escape(spec.objectives[i].direction == core::Direction::Minimize ? "min" : "max", out);
+    out.push_back('{');
+    json::member("metric", spec.objectives[i].metric, out);
+    json::member("direction",
+                 spec.objectives[i].direction == core::Direction::Minimize ? "min" : "max", out);
     out.push_back('}');
   }
   out.push_back(']');
@@ -429,30 +429,19 @@ std::string spec_to_json(const SearchSpec& spec) {
     for (std::size_t i = 0; i < spec.constraints.size(); ++i) {
       const Constraint& c = spec.constraints[i];
       if (i > 0) out.push_back(',');
-      out += "{\"metric\":";
-      json::escape(c.metric, out);
-      if (c.has_min) {
-        out += ",\"min\":";
-        json::append_double(c.min, out);
-      }
-      if (c.has_max) {
-        out += ",\"max\":";
-        json::append_double(c.max, out);
-      }
+      out.push_back('{');
+      json::member("metric", c.metric, out);
+      if (c.has_min) json::member("min", c.min, out);
+      if (c.has_max) json::member("max", c.max, out);
       out.push_back('}');
     }
     out.push_back(']');
   }
-  out += ",\"seed_points\":";
-  json::append_i64(spec.seed_points, out);
-  out += ",\"refine_rounds\":";
-  json::append_i64(spec.refine_rounds, out);
-  out += ",\"batch\":";
-  json::append_i64(spec.batch, out);
-  out += ",\"max_points\":";
-  json::append_u64(spec.max_points, out);
-  out += ",\"point_events\":";
-  json::append_bool(spec.point_events, out);
+  json::member("seed_points", spec.seed_points, out);
+  json::member("refine_rounds", spec.refine_rounds, out);
+  json::member("batch", spec.batch, out);
+  json::member("max_points", spec.max_points, out);
+  json::member("point_events", spec.point_events, out);
   out += "}}";
   return out;
 }

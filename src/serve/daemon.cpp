@@ -322,8 +322,7 @@ struct Server::Impl {
     n_protocol_errors.fetch_add(1, std::memory_order_relaxed);
     std::string out = "{\"ok\":false";
     out += id_field;
-    out += ",\"error\":";
-    json::escape(msg, out);
+    json::member("error", msg, out);
     out.push_back('}');
     return out;
   }
@@ -391,32 +390,18 @@ struct Server::Impl {
 
     const FlowRequest req = request_from_value(frv);
     JobScheduler::SubmitOptions sopts;
-    if (const json::Value* p = v.find("priority")) {
-      if (p->kind != json::Value::Kind::Number)
-        return error_response(id_field, "priority must be a number");
-      sopts.priority = static_cast<int>(p->as_i64());
-    }
+    if (const json::Value* p = v.find("priority")) sopts.priority = p->as<int>("priority");
     if (const json::Value* d = v.find("deadline_ms")) {
-      if (d->kind != json::Value::Kind::Number || d->raw[0] == '-')
-        return error_response(id_field, "deadline_ms must be a non-negative number");
-      sopts.deadline =
-          std::chrono::steady_clock::now() + std::chrono::milliseconds(d->as_u64());
+      sopts.deadline = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(d->as<std::uint64_t>("deadline_ms"));
     }
     if (const json::Value* a = v.find("after")) {
       if (a->kind != json::Value::Kind::Array)
         return error_response(id_field, "after must be an array of job ids");
-      for (const auto& e : a->arr) {
-        if (e.kind != json::Value::Kind::Number || e.raw[0] == '-')
-          return error_response(id_field, "after entries must be non-negative job ids");
-        sopts.after.push_back(e.as_u64());
-      }
+      for (const auto& e : a->arr) sopts.after.push_back(e.as<std::uint64_t>("after"));
     }
     bool include_result = true;
-    if (const json::Value* r = v.find("result")) {
-      if (r->kind != json::Value::Kind::Bool)
-        return error_response(id_field, "result must be a boolean");
-      include_result = r->as_bool();
-    }
+    if (const json::Value* r = v.find("result")) include_result = r->as<bool>("result");
 
     n_flow_requests.fetch_add(1, std::memory_order_relaxed);
     ins::counter_add(ins::Counter::ServeRequests);
@@ -440,36 +425,23 @@ struct Server::Impl {
 
     std::string out = ok ? "{\"ok\":true" : "{\"ok\":false";
     out += id_field;
-    out += ",\"status\":\"";
-    out += status_str;
-    out += "\",\"cache\":\"";
-    out += ticket.from_cache() ? "hit" : (ticket.coalesced() ? "coalesced" : "miss");
-    out += "\",\"key\":\"";
-    out += key_hex(ticket.key());
-    out += "\",\"latency_us\":";
-    json::append_u64(static_cast<std::uint64_t>(latency_us), out);
+    json::member("status", status_str, out);
+    json::member("cache", ticket.from_cache() ? "hit" : (ticket.coalesced() ? "coalesced" : "miss"),
+                 out);
+    json::member("key", key_hex(ticket.key()), out);
+    json::member("latency_us", latency_us, out);
     if (ok && include_result && ticket.result()) {
-      out += ",\"result\":";
+      json::key("result", out);
       out += core::technology_result_to_json(*ticket.result());
     }
-    if (!ok && !ticket.error().empty()) {
-      out += ",\"error\":";
-      json::escape(ticket.error(), out);
-    }
+    if (!ok && !ticket.error().empty()) json::member("error", ticket.error(), out);
     out.push_back('}');
     return out;
   }
 
   static void append_metrics(const core::MetricMap& m, std::string& out) {
     out.push_back('{');
-    bool first = true;
-    for (const auto& [name, value] : m) {
-      if (!first) out.push_back(',');
-      first = false;
-      json::escape(name, out);
-      out.push_back(':');
-      json::append_double(value, out);
-    }
+    for (const auto& [name, value] : m) json::member(name, value, out);
     out.push_back('}');
   }
 
@@ -494,9 +466,7 @@ struct Server::Impl {
 
     Clock::time_point deadline{};
     if (const json::Value* d = v.find("deadline_ms")) {
-      if (d->kind != json::Value::Kind::Number || d->raw[0] == '-')
-        return error_response(id_field, "deadline_ms must be a non-negative number");
-      deadline = Clock::now() + std::chrono::milliseconds(d->as_u64());
+      deadline = Clock::now() + std::chrono::milliseconds(d->as<std::uint64_t>("deadline_ms"));
     }
     if (opts.max_search_ms > 0) {
       const auto cap = Clock::now() + std::chrono::milliseconds(opts.max_search_ms);
@@ -550,14 +520,11 @@ struct Server::Impl {
     {
       std::string out = "{\"ok\":true";
       out += id_field;
-      out += ",\"event\":\"search_started\",\"search_id\":";
-      json::append_u64(sid, out);
-      out += ",\"key\":\"";
-      out += key_hex(spec.key());
-      out += "\",\"space_points\":";
-      json::append_u64(space_points, out);
-      out += ",\"budget\":";
-      json::append_u64(budget, out);
+      json::member("event", "search_started", out);
+      json::member("search_id", sid, out);
+      json::member("key", key_hex(spec.key()), out);
+      json::member("space_points", space_points, out);
+      json::member("budget", budget, out);
       out.push_back('}');
       emit(std::move(out));
     }
@@ -566,30 +533,21 @@ struct Server::Impl {
     cbs.on_point = [&](const dse::PointEvent& ev) {
       std::string out = "{\"ok\":true";
       out += id_field;
-      out += ",\"event\":\"point_evaluated\",\"search_id\":";
-      json::append_u64(sid, out);
-      out += ",\"index\":";
-      json::append_u64(ev.index, out);
-      out += ",\"label\":";
-      json::escape(ev.label, out);
-      out += ",\"key\":\"";
-      out += key_hex(ev.request_key);
-      out += "\",\"point_ok\":";
-      json::append_bool(ev.ok, out);
-      out += ",\"feasible\":";
-      json::append_bool(ev.feasible, out);
-      out += ",\"cache\":\"";
-      out += ev.cache_hit ? "hit" : (ev.coalesced ? "coalesced" : "miss");
-      out += "\",\"resident_stages\":";
-      json::append_i64(ev.resident_stages, out);
-      out += ",\"cache_assisted\":";
-      json::append_bool(ev.cache_assisted, out);
+      json::member("event", "point_evaluated", out);
+      json::member("search_id", sid, out);
+      json::member("index", ev.index, out);
+      json::member("label", ev.label, out);
+      json::member("key", key_hex(ev.request_key), out);
+      json::member("point_ok", ev.ok, out);
+      json::member("feasible", ev.feasible, out);
+      json::member("cache", ev.cache_hit ? "hit" : (ev.coalesced ? "coalesced" : "miss"), out);
+      json::member("resident_stages", ev.resident_stages, out);
+      json::member("cache_assisted", ev.cache_assisted, out);
       if (ev.ok) {
         out += ",\"metrics\":";
         append_metrics(ev.metrics, out);
       } else {
-        out += ",\"error\":";
-        json::escape(ev.error, out);
+        json::member("error", ev.error, out);
       }
       out.push_back('}');
       emit(std::move(out));
@@ -597,12 +555,10 @@ struct Server::Impl {
     cbs.on_front = [&](const dse::FrontEvent& ev) {
       std::string out = "{\"ok\":true";
       out += id_field;
-      out += ",\"event\":\"front_updated\",\"search_id\":";
-      json::append_u64(sid, out);
-      out += ",\"version\":";
-      json::append_u64(ev.version, out);
-      out += ",\"hypervolume\":";
-      json::append_double(ev.hypervolume, out);
+      json::member("event", "front_updated", out);
+      json::member("search_id", sid, out);
+      json::member("version", ev.version, out);
+      json::member("hypervolume", ev.hypervolume, out);
       out += ",\"front\":";
       append_front(ev.front, out);
       out.push_back('}');
@@ -636,34 +592,22 @@ struct Server::Impl {
 
     std::string out = "{\"ok\":true";
     out += id_field;
-    out += ",\"event\":\"search_done\",\"search_id\":";
-    json::append_u64(sid, out);
-    out += ",\"status\":\"";
-    out += sum.status;
-    out += "\",\"space_points\":";
-    json::append_u64(sum.space_points, out);
-    out += ",\"points_evaluated\":";
-    json::append_u64(sum.points_evaluated, out);
-    out += ",\"points_failed\":";
-    json::append_u64(sum.points_failed, out);
-    out += ",\"points_infeasible\":";
-    json::append_u64(sum.points_infeasible, out);
-    out += ",\"cache_hits\":";
-    json::append_u64(sum.cache_hits, out);
-    out += ",\"coalesced\":";
-    json::append_u64(sum.coalesced, out);
-    out += ",\"cache_assisted\":";
-    json::append_u64(sum.cache_assisted, out);
-    out += ",\"rounds\":";
-    json::append_i64(sum.rounds_run, out);
-    out += ",\"front_version\":";
-    json::append_u64(sum.front_version, out);
-    out += ",\"hypervolume\":";
-    json::append_double(sum.hypervolume, out);
+    json::member("event", "search_done", out);
+    json::member("search_id", sid, out);
+    json::member("status", sum.status, out);
+    json::member("space_points", sum.space_points, out);
+    json::member("points_evaluated", sum.points_evaluated, out);
+    json::member("points_failed", sum.points_failed, out);
+    json::member("points_infeasible", sum.points_infeasible, out);
+    json::member("cache_hits", sum.cache_hits, out);
+    json::member("coalesced", sum.coalesced, out);
+    json::member("cache_assisted", sum.cache_assisted, out);
+    json::member("rounds", sum.rounds_run, out);
+    json::member("front_version", sum.front_version, out);
+    json::member("hypervolume", sum.hypervolume, out);
     out += ",\"front\":";
     append_front(sum.front, out);
-    out += ",\"wall_s\":";
-    json::append_double(sum.wall_s, out);
+    json::member("wall_s", sum.wall_s, out);
     out.push_back('}');
     return out;
   }
@@ -672,9 +616,7 @@ struct Server::Impl {
                                    const std::string& id_field) {
     if (const std::string* f = unknown_field(v, {"search_cancel", "id"}))
       return error_response(id_field, "unknown request field: " + *f);
-    if (cv.kind != json::Value::Kind::Number || cv.raw[0] == '-')
-      return error_response(id_field, "search_cancel must be a search id");
-    const std::uint64_t sid = cv.as_u64();
+    const auto sid = cv.as<std::uint64_t>("search_cancel");
     {
       std::lock_guard<std::mutex> lk(search_mu);
       auto it = active_searches.find(sid);
@@ -684,8 +626,7 @@ struct Server::Impl {
     }
     std::string out = "{\"ok\":true";
     out += id_field;
-    out += ",\"search_id\":";
-    json::append_u64(sid, out);
+    json::member("search_id", sid, out);
     out += ",\"cancelling\":true}";
     return out;
   }
@@ -694,15 +635,10 @@ struct Server::Impl {
                                    const std::string& id_field) {
     if (const std::string* f = unknown_field(v, {"search_refine", "rounds", "id"}))
       return error_response(id_field, "unknown request field: " + *f);
-    if (rv.kind != json::Value::Kind::Number || rv.raw[0] == '-')
-      return error_response(id_field, "search_refine must be a search id");
-    const std::uint64_t sid = rv.as_u64();
-    int rounds = 1;
-    if (const json::Value* r = v.find("rounds")) {
-      if (r->kind != json::Value::Kind::Number || r->as_i64() < 1)
-        return error_response(id_field, "rounds must be a positive number");
-      rounds = static_cast<int>(r->as_i64());
-    }
+    const auto sid = rv.as<std::uint64_t>("search_refine");
+    const json::Value* r = v.find("rounds");
+    const int rounds = r != nullptr ? r->as<int>("rounds") : 1;
+    if (rounds < 1) return error_response(id_field, "rounds must be a positive number");
     {
       std::lock_guard<std::mutex> lk(search_mu);
       auto it = active_searches.find(sid);
@@ -712,10 +648,8 @@ struct Server::Impl {
     }
     std::string out = "{\"ok\":true";
     out += id_field;
-    out += ",\"search_id\":";
-    json::append_u64(sid, out);
-    out += ",\"refine_rounds_added\":";
-    json::append_i64(rounds, out);
+    json::member("search_id", sid, out);
+    json::member("refine_rounds_added", rounds, out);
     out.push_back('}');
     return out;
   }
@@ -727,74 +661,44 @@ struct Server::Impl {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
     std::string out = "{\"port\":";
     json::append_i64(bound_port, out);
-    out += ",\"connections\":";
-    json::append_u64(n_connections.load(std::memory_order_relaxed), out);
-    out += ",\"requests\":";
-    json::append_u64(n_requests.load(std::memory_order_relaxed), out);
-    out += ",\"flow_requests\":";
-    json::append_u64(n_flow_requests.load(std::memory_order_relaxed), out);
-    out += ",\"protocol_errors\":";
-    json::append_u64(n_protocol_errors.load(std::memory_order_relaxed), out);
-    out += ",\"timeouts\":";
-    json::append_u64(n_timeouts.load(std::memory_order_relaxed), out);
-    out += ",\"oversize_rejections\":";
-    json::append_u64(n_oversize.load(std::memory_order_relaxed), out);
-    out += ",\"uptime_s\":";
-    json::append_double(uptime, out);
+    json::member("connections", n_connections.load(std::memory_order_relaxed), out);
+    json::member("requests", n_requests.load(std::memory_order_relaxed), out);
+    json::member("flow_requests", n_flow_requests.load(std::memory_order_relaxed), out);
+    json::member("protocol_errors", n_protocol_errors.load(std::memory_order_relaxed), out);
+    json::member("timeouts", n_timeouts.load(std::memory_order_relaxed), out);
+    json::member("oversize_rejections", n_oversize.load(std::memory_order_relaxed), out);
+    json::member("uptime_s", uptime, out);
     out += ",\"dse\":{\"searches\":";
     json::append_u64(n_searches.load(std::memory_order_relaxed), out);
-    out += ",\"completed\":";
-    json::append_u64(n_search_done.load(std::memory_order_relaxed), out);
-    out += ",\"cancelled\":";
-    json::append_u64(n_search_cancelled.load(std::memory_order_relaxed), out);
-    out += ",\"expired\":";
-    json::append_u64(n_search_expired.load(std::memory_order_relaxed), out);
-    out += ",\"rejected\":";
-    json::append_u64(n_search_rejected.load(std::memory_order_relaxed), out);
-    out += ",\"active\":";
-    json::append_u64(active_search_count(), out);
-    out += ",\"points_evaluated\":";
-    json::append_u64(n_search_points.load(std::memory_order_relaxed), out);
-    out += ",\"front_updates\":";
-    json::append_u64(n_front_updates.load(std::memory_order_relaxed), out);
-    out += ",\"cache_assisted_points\":";
-    json::append_u64(n_search_cache_assisted.load(std::memory_order_relaxed), out);
+    json::member("completed", n_search_done.load(std::memory_order_relaxed), out);
+    json::member("cancelled", n_search_cancelled.load(std::memory_order_relaxed), out);
+    json::member("expired", n_search_expired.load(std::memory_order_relaxed), out);
+    json::member("rejected", n_search_rejected.load(std::memory_order_relaxed), out);
+    json::member("active", active_search_count(), out);
+    json::member("points_evaluated", n_search_points.load(std::memory_order_relaxed), out);
+    json::member("front_updates", n_front_updates.load(std::memory_order_relaxed), out);
+    json::member("cache_assisted_points",
+                 n_search_cache_assisted.load(std::memory_order_relaxed), out);
     out += "},\"scheduler\":{\"pending\":";
     json::append_u64(scheduler->pending(), out);
-    out += ",\"submitted\":";
-    json::append_u64(sched.submitted, out);
-    out += ",\"cache_hits\":";
-    json::append_u64(sched.cache_hits, out);
-    out += ",\"coalesced\":";
-    json::append_u64(sched.coalesced, out);
-    out += ",\"executed\":";
-    json::append_u64(sched.executed, out);
-    out += ",\"failed\":";
-    json::append_u64(sched.failed, out);
-    out += ",\"cancelled\":";
-    json::append_u64(sched.cancelled, out);
-    out += ",\"expired\":";
-    json::append_u64(sched.expired, out);
-    out += ",\"stage_hits\":";
-    json::append_u64(sched.stage_hits, out);
-    out += ",\"stage_misses\":";
-    json::append_u64(sched.stage_misses, out);
+    json::member("submitted", sched.submitted, out);
+    json::member("cache_hits", sched.cache_hits, out);
+    json::member("coalesced", sched.coalesced, out);
+    json::member("executed", sched.executed, out);
+    json::member("failed", sched.failed, out);
+    json::member("cancelled", sched.cancelled, out);
+    json::member("expired", sched.expired, out);
+    json::member("stage_hits", sched.stage_hits, out);
+    json::member("stage_misses", sched.stage_misses, out);
     out += "},\"cache\":{\"hits\":";
     json::append_u64(cst.hits, out);
-    out += ",\"disk_hits\":";
-    json::append_u64(cst.disk_hits, out);
-    out += ",\"misses\":";
-    json::append_u64(cst.misses, out);
-    out += ",\"insertions\":";
-    json::append_u64(cst.insertions, out);
-    out += ",\"evictions\":";
-    json::append_u64(cst.evictions, out);
-    out += ",\"disk_writes\":";
-    json::append_u64(cst.disk_writes, out);
-    out += ",\"disk_errors\":";
-    json::append_u64(cst.disk_errors, out);
-    out += ",\"entries\":";
-    json::append_u64(cst.entries, out);
+    json::member("disk_hits", cst.disk_hits, out);
+    json::member("misses", cst.misses, out);
+    json::member("insertions", cst.insertions, out);
+    json::member("evictions", cst.evictions, out);
+    json::member("disk_writes", cst.disk_writes, out);
+    json::member("disk_errors", cst.disk_errors, out);
+    json::member("entries", cst.entries, out);
     out.push_back('}');
     out += ",\"stage_cache\":";
     out += core::stage::stage_cache_stats_json();

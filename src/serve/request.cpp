@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
-#include <type_traits>
 #include <vector>
 
 #include "core/canon.hpp"
@@ -41,38 +40,20 @@ struct TextWriter {
 struct JsonWriter {
   std::string out;
 
-  void sep() {
-    if (out.back() != '{') out.push_back(',');
-  }
-  void k(const char* name) {
-    sep();
-    json::escape(name, out);
-    out.push_back(':');
-  }
   bool begin(const char* name, bool nondefault, bool) {
     if (!nondefault) return false;
-    k(name);
+    json::key(name, out);
     out.push_back('{');
     return true;
   }
   void end() { out.push_back('}'); }
   template <typename S>
   void token(const knobs::Token<S>& t) {
-    if (!t.render) return;
-    k(t.name);
-    json::escape(t.value, out);
+    if (t.render) json::member(t.name, t.value, out);
   }
   template <typename T>
   void field(const knobs::Field<T>& f) {
-    if (!f.render) return;
-    k(f.name);
-    if constexpr (std::is_same_v<T, bool>) {
-      json::append_bool(f.value, out);
-    } else if constexpr (std::is_same_v<T, double>) {
-      json::append_double(f.value, out);
-    } else {
-      json::append_i64(f.value, out);  // int or unsigned: exact in int64
-    }
+    if (f.render) json::member(f.name, f.value, out);
   }
 };
 
@@ -90,7 +71,7 @@ struct JsonReader {
 
   explicit JsonReader(const json::Value& root) { stack.push_back({&root, {}}); }
 
-  [[noreturn]] void fail(const char* name, const char* what) const {
+  [[noreturn]] void fail(const char* name, const std::string& what) const {
     throw std::runtime_error("flow_request: \"" + path.dotted(name) + "\" " + what);
   }
   const json::Value* get(const char* name) {
@@ -129,10 +110,10 @@ struct JsonReader {
   void token(const knobs::Token<S>& t) {
     const json::Value* v = get(t.name);
     if (v == nullptr) return;
-    if (v->kind != json::Value::Kind::String) fail(t.name, "must be a string");
+    const std::string s = read<std::string>(*v, t.name);
     try {
-      if (!t.set(v->str)) {
-        throw std::invalid_argument("unknown " + path.dotted(t.name) + " \"" + v->str + "\"");
+      if (!t.set(s)) {
+        throw std::invalid_argument("unknown " + path.dotted(t.name) + " \"" + s + "\"");
       }
     } catch (const std::invalid_argument& e) {
       throw std::runtime_error(std::string("flow_request: ") + e.what());
@@ -140,18 +121,14 @@ struct JsonReader {
   }
   template <typename T>
   void field(const knobs::Field<T>& f) {
-    const json::Value* v = get(f.name);
-    if (v == nullptr) return;
-    if constexpr (std::is_same_v<T, bool>) {
-      if (v->kind != json::Value::Kind::Bool) fail(f.name, "must be true or false");
-      f.value = v->b;
-    } else {
-      // Integral spellings such as 1e3 and 16.0 read exactly: every int and
-      // unsigned value is exact in a double.
-      if (v->kind != json::Value::Kind::Number) fail(f.name, "must be a number");
-      const double x = v->as_double();
-      if (!knobs::fits<T>(x)) fail(f.name, "must be an integer its type can hold");
-      f.value = static_cast<T>(x);
+    if (const json::Value* v = get(f.name)) f.value = read<T>(*v, f.name);
+  }
+  template <typename T>
+  T read(const json::Value& v, const char* name) const {
+    try {
+      return v.as<T>();
+    } catch (const std::runtime_error& e) {
+      fail(name, e.what());
     }
   }
 };

@@ -257,6 +257,31 @@ TEST(DseSpaceTest, RejectionsAreLoud) {
                std::runtime_error);
   // Missing space entirely.
   EXPECT_THROW(parse(R"({"objectives":[]})"), std::runtime_error);
+  // Scalars are read through the checked JSON accessors: a wrong kind, a
+  // fraction or a value the field's type cannot hold is rejected by name
+  // (these once read as false, 1, 1, 0, 2, 2^64 - 1, 0 and 0).
+  const struct {
+    const char* extra;
+    const char* field;
+  } mistyped[] = {
+      {R"("point_events":1)", "point_events"},
+      {R"("seed_points":4294967297)", "seed_points"},
+      {R"("refine_rounds":"2")", "refine_rounds"},
+      {R"("batch":2.9)", "batch"},
+      {R"("max_points":-1)", "max_points"},
+      {R"("constraints":[{"metric":"cost_usd","max":"5"}])", "constraints.max"},
+      {R"("constraints":[{"metric":"cost_usd","min":true}])", "constraints.min"},
+  };
+  for (const auto& m : mistyped) {
+    try {
+      (void)parse(std::string(R"({"space":{"tech":["glass25d"]},)") + m.extra + "}");
+      ADD_FAILURE() << m.extra << " was accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(m.field), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(parse(R"({"space":{"tech":["glass25d"]},"seed_points":1e9})").seed_points,
+            1000000000);
 }
 
 TEST(DseSpaceTest, JsonRoundTripPreservesKeyAndShape) {
