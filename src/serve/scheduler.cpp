@@ -185,10 +185,14 @@ struct JobScheduler::Impl {
       StatePtr st = queue.top();
       queue.pop();
 
-      // Cancelled-while-queued jobs are removed lazily here.
+      // Cancelled-while-queued jobs are removed lazily here; a drain() that
+      // saw them still queued is waiting for this pop.
       {
         std::lock_guard<std::mutex> slk(st->mu);
-        if (st->terminal_locked()) continue;
+        if (st->terminal_locked()) {
+          cv_idle.notify_all();
+          continue;
+        }
       }
 
       if (st->deadline != Clock::time_point{} && Clock::now() > st->deadline) {
