@@ -4,16 +4,18 @@
 ///
 ///   1. MNA -- k x k resistor-grid PDN proxies (vsource corner feed, per-node
 ///      load to ground) at chiplet-count equivalents, solved for the DC
-///      operating point with the dense LU backend and with the CSR +
-///      ILU(0)-BiCGSTAB backend (core/solver_backend.hpp forced either
-///      way). Contract: sparse must be >= 10x faster at the largest size.
+///      operating point with the dense LU path (solve_dc_dense) and with the
+///      CSR + ILU(0)-BiCGSTAB path (solve_dc_sparse); solve_dc itself picks
+///      sparse at circuit::kSparseMinUnknowns unknowns. Contract: sparse
+///      must be >= 10x faster at the largest size.
 ///
 ///   2. Thermal -- the Glass 2.5D design meshed at 48/96/192 lateral cells,
 ///      solved steady-state with red-black SOR and with the geometric
-///      multigrid V-cycle solver. Contract: multigrid must be >= 5x faster
-///      on the finest mesh, and the two fields must agree to 0.1 K at the
-///      hottest cell (same discretization, so this guards correctness of
-///      the fast path, not just its speed).
+///      multigrid V-cycle solver (solve_steady_state picks multigrid at
+///      thermal::kMultigridMinExtent cells in both extents). Contract:
+///      multigrid must be >= 5x faster on the finest mesh, and the two
+///      fields must agree to 0.1 K at the hottest cell (same discretization,
+///      so this guards correctness of the fast path, not just its speed).
 ///
 /// Emits per-size wall times, speedups and iteration counts in the standard
 /// bench JSON line; exits non-zero when a contract is violated so CI can
@@ -28,7 +30,6 @@
 #include "bench_util.hpp"
 #include "circuit/circuit.hpp"
 #include "circuit/dc.hpp"
-#include "core/solver_backend.hpp"
 #include "interposer/design.hpp"
 #include "tech/library.hpp"
 #include "thermal/mesh.hpp"
@@ -91,16 +92,13 @@ int main(int argc, char** argv) {
   for (int k : grid_sizes) {
     const auto ckt = make_grid_circuit(k);
 
-    core::set_solver_backend(core::SolverBackend::Dense);
     auto td = Clock::now();
-    const auto dense = circuit::solve_dc(ckt);
+    const auto dense = circuit::solve_dc_dense(ckt);
     const double dense_s = seconds_since(td);
 
-    core::set_solver_backend(core::SolverBackend::Sparse);
     auto ts = Clock::now();
-    const auto sparse = circuit::solve_dc(ckt);
+    const auto sparse = circuit::solve_dc_sparse(ckt);
     const double sparse_s = seconds_since(ts);
-    core::set_solver_backend(core::SolverBackend::Auto);
 
     double max_dv = 0;
     for (std::size_t i = 0; i < dense.x.size(); ++i) {

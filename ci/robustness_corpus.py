@@ -171,6 +171,12 @@ def attack_bad_protocol_lines(port):
         b'{"flow_request":{"openpiton":{"seed":01}}}',
         b"1e",
         b"-",
+        # The bare verbs take only `id`: an extra field, or a second verb
+        # (which must not drain the daemon), is an unknown field.
+        b'{"ping":true,"bogus":1}',
+        b'{"stats":true,"bogus":1}',
+        b'{"shutdown":true,"bogus":1}',
+        b'{"ping":true,"shutdown":true}',
     ]
     for line in lines:
         resp = roundtrip(port, line)

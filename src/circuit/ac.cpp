@@ -7,7 +7,6 @@
 #include "circuit/sparse.hpp"
 #include "core/instrument.hpp"
 #include "core/parallel.hpp"
-#include "core/solver_backend.hpp"
 
 namespace gia::circuit {
 
@@ -44,9 +43,21 @@ std::vector<double> mutual_values(const Circuit& ckt) {
   return mval;
 }
 
-void run_ac_dense(const Circuit& ckt, const std::vector<double>& freqs_hz,
-                  const std::vector<NodeId>& probes, AcResult& out) {
+/// A result with every probe phasor slot allocated, so each frequency point
+/// writes only its own slots.
+AcResult empty_result(const std::vector<double>& freqs_hz, const std::vector<NodeId>& probes) {
+  AcResult out;
+  out.freq_hz = freqs_hz;
+  out.node_v.assign(probes.size(), std::vector<cplx>(freqs_hz.size()));
+  return out;
+}
+
+}  // namespace
+
+AcResult run_ac_dense(const Circuit& ckt, const std::vector<double>& freqs_hz,
+                      const std::vector<NodeId>& probes) {
   const int m = ckt.unknown_count();
+  AcResult out = empty_result(freqs_hz, probes);
   const auto& ls = ckt.inductors();
   const auto mutual = mutual_values(ckt);
   const auto rhs = ac_rhs(ckt);
@@ -95,11 +106,13 @@ void run_ac_dense(const Circuit& ckt, const std::vector<double>& freqs_hz,
           probes[p] == kGround ? cplx{} : x[static_cast<std::size_t>(node_row(probes[p]))];
     }
   });
+  return out;
 }
 
-void run_ac_sparse(const Circuit& ckt, const std::vector<double>& freqs_hz,
-                   const std::vector<NodeId>& probes, AcResult& out) {
+AcResult run_ac_sparse(const Circuit& ckt, const std::vector<double>& freqs_hz,
+                       const std::vector<NodeId>& probes) {
   const int m = ckt.unknown_count();
+  AcResult out = empty_result(freqs_hz, probes);
   const auto& ls = ckt.inductors();
   const auto mutual = mutual_values(ckt);
   const auto rhs = ac_rhs(ckt);
@@ -187,30 +200,18 @@ void run_ac_sparse(const Circuit& ckt, const std::vector<double>& freqs_hz,
           probes[p] == kGround ? cplx{} : x[static_cast<std::size_t>(node_row(probes[p]))];
     }
   });
+  return out;
 }
-
-}  // namespace
 
 AcResult run_ac(const Circuit& ckt, const std::vector<double>& freqs_hz,
                 const std::vector<NodeId>& probes) {
   GIA_SPAN("circuit/ac");
   core::instrument::counter_add(core::instrument::Counter::AcPoints, freqs_hz.size());
-  const int m = ckt.unknown_count();
-
-  AcResult out;
-  out.freq_hz = freqs_hz;
-  out.node_v.assign(probes.size(), std::vector<cplx>(freqs_hz.size()));
-
-  const bool sparse = core::use_sparse_mna(m);
+  const bool sparse = use_sparse_mna(ckt.unknown_count());
   if (core::instrument::enabled()) {
     core::instrument::gauge_set("solver_backend.circuit_ac", sparse ? 1.0 : 0.0);
   }
-  if (sparse) {
-    run_ac_sparse(ckt, freqs_hz, probes, out);
-  } else {
-    run_ac_dense(ckt, freqs_hz, probes, out);
-  }
-  return out;
+  return sparse ? run_ac_sparse(ckt, freqs_hz, probes) : run_ac_dense(ckt, freqs_hz, probes);
 }
 
 std::vector<double> log_freq_grid(double f_start_hz, double f_stop_hz, int points_per_decade) {

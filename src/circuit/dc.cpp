@@ -4,7 +4,6 @@
 #include "circuit/mna.hpp"
 #include "circuit/sparse.hpp"
 #include "core/instrument.hpp"
-#include "core/solver_backend.hpp"
 
 namespace gia::circuit {
 
@@ -60,57 +59,62 @@ std::vector<double> dc_rhs(const Circuit& ckt, double t) {
 
 }  // namespace
 
-DcSolution solve_dc(const Circuit& ckt, double t) {
+DcSolution solve_dc_dense(const Circuit& ckt, double t) {
   const int m = ckt.unknown_count();
-  const std::vector<double> rhs = dc_rhs(ckt, t);
-
+  RealMatrix A(m);
+  assemble_dc(ckt, A);
+  LuFactor<double> lu(std::move(A));
   DcSolution out;
   out.ckt = &ckt;
-  if (core::use_sparse_mna(m)) {
-    if (core::instrument::enabled()) core::instrument::gauge_set("solver_backend.circuit_dc", 1.0);
-    RealSparseMatrix A(m);
-    assemble_dc(ckt, A);
-    A.finalize();
-    // Equilibrate: the DC system mixes 1e-12 gmin with milliohm-path
-    // conductances, far beyond what ILU(0)+BiCGSTAB can solve to tight
-    // tolerance unscaled.
-    const std::vector<double> d = equilibration_scales(A.view());
-    apply_equilibration(A, d);
-    std::vector<double> b(static_cast<std::size_t>(m));
-    for (int i = 0; i < m; ++i) b[static_cast<std::size_t>(i)] = rhs[static_cast<std::size_t>(i)] * d[static_cast<std::size_t>(i)];
-    const Ilu0Preconditioner<double> ilu(A.view());
-    std::vector<double> x(static_cast<std::size_t>(m), 0.0);
-    const auto stats = bicgstab(A.view(), b, x, ilu);
-    if (stats.converged) {
-      for (int i = 0; i < m; ++i) x[static_cast<std::size_t>(i)] *= d[static_cast<std::size_t>(i)];
-      out.x = std::move(x);
-      return out;
-    }
-    // ILU(0) cannot pivot, and small saddle chains (e.g. the IVR settling
-    // circuit: vsource-R-L-R-L ladders) produce exact-cancellation pivots
-    // that only row exchanges cure -- equilibration does not help because
-    // the cancellation is structural, not a unit mismatch. Fall back to
-    // pivoted dense LU where it is affordable; genuinely singular systems
-    // still throw from inside the factorization, and at production scale
-    // (where dense would be the very cost this backend exists to avoid)
-    // non-convergence stays a loud failure.
-    constexpr int kDenseFallbackMaxUnknowns = 2048;
-    if (m > kDenseFallbackMaxUnknowns) {
-      throw std::runtime_error(
-          "sparse DC solve failed to converge (singular MNA matrix / floating node?)");
-    }
-    RealMatrix Af(m);
-    assemble_dc(ckt, Af);
-    LuFactor<double> lu(std::move(Af));
-    out.x = lu.solve(rhs);
-  } else {
-    if (core::instrument::enabled()) core::instrument::gauge_set("solver_backend.circuit_dc", 0.0);
-    RealMatrix A(m);
-    assemble_dc(ckt, A);
-    LuFactor<double> lu(std::move(A));
-    out.x = lu.solve(rhs);
-  }
+  out.x = lu.solve(dc_rhs(ckt, t));
   return out;
+}
+
+DcSolution solve_dc_sparse(const Circuit& ckt, double t) {
+  const int m = ckt.unknown_count();
+  RealSparseMatrix A(m);
+  assemble_dc(ckt, A);
+  A.finalize();
+  const std::vector<double> rhs = dc_rhs(ckt, t);
+  // Equilibrate: the DC system mixes 1e-12 gmin with milliohm-path
+  // conductances, far beyond what ILU(0)+BiCGSTAB can solve to tight
+  // tolerance unscaled.
+  const std::vector<double> d = equilibration_scales(A.view());
+  apply_equilibration(A, d);
+  std::vector<double> b(static_cast<std::size_t>(m));
+  for (int i = 0; i < m; ++i) b[static_cast<std::size_t>(i)] = rhs[static_cast<std::size_t>(i)] * d[static_cast<std::size_t>(i)];
+  const Ilu0Preconditioner<double> ilu(A.view());
+  std::vector<double> x(static_cast<std::size_t>(m), 0.0);
+  const auto stats = bicgstab(A.view(), b, x, ilu);
+  if (stats.converged) {
+    for (int i = 0; i < m; ++i) x[static_cast<std::size_t>(i)] *= d[static_cast<std::size_t>(i)];
+    DcSolution out;
+    out.ckt = &ckt;
+    out.x = std::move(x);
+    return out;
+  }
+  // ILU(0) cannot pivot, and small saddle chains (e.g. the IVR settling
+  // circuit: vsource-R-L-R-L ladders) produce exact-cancellation pivots
+  // that only row exchanges cure -- equilibration does not help because
+  // the cancellation is structural, not a unit mismatch. Fall back to
+  // pivoted dense LU where it is affordable; genuinely singular systems
+  // still throw from inside the factorization, and at production scale
+  // (where dense would be the very cost this backend exists to avoid)
+  // non-convergence stays a loud failure.
+  constexpr int kDenseFallbackMaxUnknowns = 2048;
+  if (m > kDenseFallbackMaxUnknowns) {
+    throw std::runtime_error(
+        "sparse DC solve failed to converge (singular MNA matrix / floating node?)");
+  }
+  return solve_dc_dense(ckt, t);
+}
+
+DcSolution solve_dc(const Circuit& ckt, double t) {
+  const bool sparse = use_sparse_mna(ckt.unknown_count());
+  if (core::instrument::enabled()) {
+    core::instrument::gauge_set("solver_backend.circuit_dc", sparse ? 1.0 : 0.0);
+  }
+  return sparse ? solve_dc_sparse(ckt, t) : solve_dc_dense(ckt, t);
 }
 
 }  // namespace gia::circuit

@@ -35,6 +35,15 @@
 
 namespace gia::circuit {
 
+/// Unknown count at which solve_dc, run_ac and run_transient hand an MNA
+/// system to the CSR + ILU(0)-BiCGSTAB path. Flow circuits are a few hundred
+/// unknowns where dense LU wins (and stays the byte-stable reference);
+/// production-scale PDN meshes are 10-100x past this.
+inline constexpr int kSparseMinUnknowns = 512;
+
+/// Does an MNA system of `unknowns` unknowns take the sparse path?
+constexpr bool use_sparse_mna(int unknowns) noexcept { return unknowns >= kSparseMinUnknowns; }
+
 /// Scalar helpers shared by the solvers (identity conj for real scalars).
 inline double sp_conj(double v) { return v; }
 inline std::complex<double> sp_conj(const std::complex<double>& v) { return std::conj(v); }

@@ -10,7 +10,6 @@
 #include "circuit/mna.hpp"
 #include "circuit/sparse.hpp"
 #include "core/instrument.hpp"
-#include "core/solver_backend.hpp"
 
 namespace gia::circuit {
 
@@ -60,7 +59,7 @@ TransientResult run_transient(const Circuit& ckt, const TransientSpec& spec) {
   // backend. Dense factors LU once; sparse finalizes the CSR pattern and
   // factors ILU(0) once, then BiCGSTAB warm-starts each step from the
   // previous state (near-perfect initial guess for smooth waveforms).
-  const bool sparse = core::use_sparse_mna(m);
+  const bool sparse = use_sparse_mna(m);
   if (core::instrument::enabled()) {
     core::instrument::gauge_set("solver_backend.circuit_transient", sparse ? 1.0 : 0.0);
   }

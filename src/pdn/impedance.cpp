@@ -4,10 +4,9 @@
 #include <cmath>
 
 #include "circuit/ac.hpp"
-#include "circuit/circuit.hpp"
+#include "circuit/sparse.hpp"
 #include "core/instrument.hpp"
 #include "core/parallel.hpp"
-#include "core/solver_backend.hpp"
 
 namespace gia::pdn {
 
@@ -41,11 +40,11 @@ circuit::NodeId series_rl(circuit::Circuit& ckt, circuit::NodeId from, double r,
 
 }  // namespace
 
-ImpedanceProfile impedance_profile(const PdnModel& model, const ImpedanceOptions& opts) {
-  GIA_SPAN("pdn/impedance");
+ImpedanceCircuit impedance_circuit(const PdnModel& model) {
   using namespace circuit;
-  Circuit ckt;
-  const NodeId bump = ckt.add_node("bump");
+  ImpedanceCircuit out;
+  Circuit& ckt = out.ckt;
+  const NodeId bump = out.bump = ckt.add_node("bump");
 
   // 1 A AC injection at the bump; |V(bump)| is |Z|.
   ckt.add_isource(kGround, bump, Stimulus::dc(0), "iac", 1.0);
@@ -72,17 +71,22 @@ ImpedanceProfile impedance_profile(const PdnModel& model, const ImpedanceOptions
     ball = b2;
   }
   ckt.add_vsource(ball, kGround, Stimulus::dc(0), "vboard", 0.0);
+  return out;
+}
 
-  const auto freqs = log_freq_grid(opts.f_start_hz, opts.f_stop_hz, opts.points_per_decade);
+ImpedanceProfile impedance_profile(const PdnModel& model, const ImpedanceOptions& opts) {
+  GIA_SPAN("pdn/impedance");
+  const ImpedanceCircuit ic = impedance_circuit(model);
+  const auto freqs = circuit::log_freq_grid(opts.f_start_hz, opts.f_stop_hz, opts.points_per_decade);
   // run_ac factors and solves the independent frequency points in parallel
-  // (see circuit/ac.cpp) and routes each point through the GIA_SOLVER
-  // backend (dense LU below core::kSparseAutoUnknowns unknowns, CSR +
-  // BiCGSTAB above); each |Z| slot below is likewise per-index.
+  // (see circuit/ac.cpp), on dense LU below circuit::kSparseMinUnknowns
+  // unknowns and CSR + BiCGSTAB above; each |Z| slot below is likewise
+  // per-index.
   if (core::instrument::enabled()) {
     core::instrument::gauge_set("solver_backend.pdn_impedance",
-                                core::use_sparse_mna(ckt.unknown_count()) ? 1.0 : 0.0);
+                                circuit::use_sparse_mna(ic.ckt.unknown_count()) ? 1.0 : 0.0);
   }
-  const auto ac = run_ac(ckt, freqs, {bump});
+  const auto ac = circuit::run_ac(ic.ckt, freqs, {ic.bump});
 
   ImpedanceProfile out;
   out.freq_hz = freqs;

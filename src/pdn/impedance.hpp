@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "circuit/circuit.hpp"
 #include "pdn/pdn_model.hpp"
 
 /// \file impedance.hpp
@@ -28,7 +29,15 @@ struct ImpedanceOptions {
   int points_per_decade = 24;
 };
 
-/// Sweep the lumped model with the MNA AC engine (1 A injection).
+/// The lumped model as an MNA circuit: a 1 A AC current source into `bump`,
+/// so |V(bump)| is |Z|.
+struct ImpedanceCircuit {
+  circuit::Circuit ckt;
+  circuit::NodeId bump = circuit::kGround;
+};
+ImpedanceCircuit impedance_circuit(const PdnModel& model);
+
+/// Sweep impedance_circuit(model) with the MNA AC engine.
 ImpedanceProfile impedance_profile(const PdnModel& model, const ImpedanceOptions& opts = {});
 
 }  // namespace gia::pdn

@@ -359,6 +359,13 @@ struct Server::Impl {
         return handle_search_cancel(v, *cv, id_field);
       if (const json::Value* rv = v.find("search_refine"))
         return handle_search_refine(v, *rv, id_field);
+      // The bare verbs take no field but `id`, so a line naming two of them
+      // is rejected rather than answered by whichever is tested first.
+      for (const char* verb : {"stats", "ping", "shutdown"}) {
+        if (!v.find(verb)) continue;
+        if (const std::string* f = unknown_field(v, {verb, "id"}))
+          return error_response(id_field, "unknown request field: " + *f);
+      }
       if (v.find("stats")) {
         std::string out = "{\"ok\":true";
         out += id_field;

@@ -6,7 +6,6 @@
 
 #include "core/instrument.hpp"
 #include "core/parallel.hpp"
-#include "core/solver_backend.hpp"
 
 namespace gia::thermal {
 
@@ -26,14 +25,7 @@ double series_g(double ka, double kb, double area, double da, double db) {
 }  // namespace
 
 ThermalField solve_steady_state(const ThermalMesh& mesh, const SolverOptions& opts) {
-  bool mg = false;
-  switch (opts.method) {
-    case SolverOptions::Method::Sor: mg = false; break;
-    case SolverOptions::Method::Multigrid: mg = true; break;
-    case SolverOptions::Method::Auto:
-      mg = core::use_multigrid(mesh.nx, mesh.ny);
-      break;
-  }
+  const bool mg = use_multigrid(mesh.nx, mesh.ny);
   if (instrument::enabled()) {
     instrument::gauge_set("solver_backend.thermal_steady", mg ? 1.0 : 0.0);
   }

@@ -17,21 +17,26 @@
 ///    with full-weighting restriction and bilinear prolongation, for
 ///    production-scale meshes where SOR's O(N) sweep count becomes the
 ///    wall.
-/// `SolverOptions::method` picks explicitly; `Auto` consults the
-/// process-wide `GIA_SOLVER` backend (core/solver_backend.hpp), which keeps
-/// the default 48x48 flow mesh on SOR so flow output stays byte-identical.
-/// Meshes whose extents cannot halve (odd, or below the coarsening floor)
-/// always fall back to SOR.
+/// `solve_steady_state` picks by mesh size alone (`use_multigrid`), which
+/// keeps the default 48x48 flow mesh on SOR. Meshes whose extents cannot
+/// halve (odd, or below the coarsening floor) always fall back to SOR.
 
 namespace gia::thermal {
+
+/// Lateral mesh extent at which `solve_steady_state` hands the solve to
+/// multigrid.
+inline constexpr int kMultigridMinExtent = 96;
+
+/// Does an nx-by-ny mesh take the multigrid path? Both extents must reach
+/// the threshold and be even (cell-centered 2x coarsening).
+constexpr bool use_multigrid(int nx, int ny) noexcept {
+  return nx >= kMultigridMinExtent && ny >= kMultigridMinExtent && nx % 2 == 0 && ny % 2 == 0;
+}
 
 struct SolverOptions {
   double sor_omega = 1.9;
   int max_iters = 15000;
   double tol_k = 5e-5;  ///< max temperature update per sweep / V-cycle [K]
-
-  enum class Method { Auto, Sor, Multigrid };
-  Method method = Method::Auto;
 
   int mg_pre_smooth = 2;   ///< red-black z-line sweeps before coarse correction
   int mg_post_smooth = 2;  ///< sweeps after prolongation

@@ -591,6 +591,11 @@ TEST(DaemonRobustnessTest, VerbFieldsAreCheckedScalars) {
       // Integral spellings are read exactly: these reach the id lookup.
       {R"({"search_refine":7,"rounds":1e2})", "unknown search id 7"},
       {R"({"search_cancel":7e0})", "unknown search id 7"},
+      // The bare verbs take only `id`; a second verb is an unknown field.
+      {R"({"ping":true,"bogus":1})", "unknown request field: bogus"},
+      {R"({"stats":true,"bogus":1})", "unknown request field: bogus"},
+      {R"({"shutdown":true,"bogus":1})", "unknown request field: bogus"},
+      {R"({"ping":true,"shutdown":true})", "unknown request field"},
   };
   serve::Client client;
   std::string resp, err;

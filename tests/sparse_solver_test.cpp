@@ -13,7 +13,6 @@
 #include "circuit/mna.hpp"
 #include "circuit/sparse.hpp"
 #include "core/instrument.hpp"
-#include "core/solver_backend.hpp"
 #include "interposer/design.hpp"
 #include "pdn/impedance.hpp"
 #include "pdn/pdn_model.hpp"
@@ -29,12 +28,6 @@ namespace th = gia::tech;
 namespace tml = gia::thermal;
 
 namespace {
-
-/// Restores the process-wide backend (tests force Dense/Sparse and must not
-/// leak that into later tests).
-struct BackendGuard {
-  ~BackendGuard() { core::set_solver_backend(core::SolverBackend::Auto); }
-};
 
 /// A divider + vsource + inductor circuit exercising every static stamp
 /// family (conductances, vsource/inductor branch rows, VCVS).
@@ -263,41 +256,29 @@ TEST(Krylov, IterationCounterAdvances) {
 // --- Backend routing ---------------------------------------------------------
 
 TEST(Backend, AutoThresholds) {
-  BackendGuard guard;
-  core::set_solver_backend(core::SolverBackend::Auto);
-  EXPECT_FALSE(core::use_sparse_mna(core::kSparseAutoUnknowns - 1));
-  EXPECT_TRUE(core::use_sparse_mna(core::kSparseAutoUnknowns));
-  EXPECT_FALSE(core::use_multigrid(48, 48));
-  EXPECT_TRUE(core::use_multigrid(core::kMultigridAutoExtent, core::kMultigridAutoExtent));
-  // Odd extents can never coarsen, whatever the backend says.
-  EXPECT_FALSE(core::use_multigrid(97, 96));
-
-  core::set_solver_backend(core::SolverBackend::Dense);
-  EXPECT_FALSE(core::use_sparse_mna(1 << 20));
-  EXPECT_FALSE(core::use_multigrid(1024, 1024));
-
-  core::set_solver_backend(core::SolverBackend::Sparse);
-  EXPECT_TRUE(core::use_sparse_mna(3));
-  EXPECT_TRUE(core::use_multigrid(48, 48));
+  EXPECT_FALSE(cc::use_sparse_mna(cc::kSparseMinUnknowns - 1));
+  EXPECT_TRUE(cc::use_sparse_mna(cc::kSparseMinUnknowns));
+  EXPECT_FALSE(tml::use_multigrid(48, 48));
+  EXPECT_TRUE(tml::use_multigrid(tml::kMultigridMinExtent, tml::kMultigridMinExtent));
+  EXPECT_FALSE(tml::use_multigrid(tml::kMultigridMinExtent, tml::kMultigridMinExtent - 2));
+  // Odd extents can never coarsen, however large.
+  EXPECT_FALSE(tml::use_multigrid(97, 96));
 }
 
 TEST(Backend, DcSparseMatchesDense) {
-  BackendGuard guard;
   const auto ckt = make_mixed_circuit();
-
-  core::set_solver_backend(core::SolverBackend::Dense);
-  const auto dense = cc::solve_dc(ckt);
-  core::set_solver_backend(core::SolverBackend::Sparse);
-  const auto sparse = cc::solve_dc(ckt);
+  const auto dense = cc::solve_dc_dense(ckt);
+  const auto sparse = cc::solve_dc_sparse(ckt);
 
   ASSERT_EQ(dense.x.size(), sparse.x.size());
   for (std::size_t i = 0; i < dense.x.size(); ++i) {
     EXPECT_NEAR(sparse.x[i], dense.x[i], 1e-9);
   }
+  // A small system takes the dense path, bit for bit.
+  EXPECT_EQ(cc::solve_dc(ckt).x, dense.x);
 }
 
 TEST(Backend, AcSparseMatchesDense) {
-  BackendGuard guard;
   cc::Circuit ckt;
   const auto in = ckt.add_node("in");
   const auto out = ckt.add_node("out");
@@ -311,10 +292,8 @@ TEST(Backend, AcSparseMatchesDense) {
   ckt.add_coupling(l1, l2, 0.4);
 
   const auto freqs = cc::log_freq_grid(1e6, 1e10, 12);
-  core::set_solver_backend(core::SolverBackend::Dense);
-  const auto dense = cc::run_ac(ckt, freqs, {out});
-  core::set_solver_backend(core::SolverBackend::Sparse);
-  const auto sparse = cc::run_ac(ckt, freqs, {out});
+  const auto dense = cc::run_ac_dense(ckt, freqs, {out});
+  const auto sparse = cc::run_ac_sparse(ckt, freqs, {out});
 
   for (std::size_t f = 0; f < freqs.size(); ++f) {
     EXPECT_NEAR(std::abs(sparse.node_v[0][f] - dense.node_v[0][f]), 0.0, 1e-9)
@@ -323,23 +302,25 @@ TEST(Backend, AcSparseMatchesDense) {
 }
 
 TEST(Backend, ImpedanceEquivalentAcrossTechnologies) {
-  // The golden cross-check of the ISSUE: dense and forced-sparse backends
-  // must agree to 1e-9 on the headline PDN impedance of all six
-  // technologies.
-  BackendGuard guard;
+  // Dense and sparse AC paths must agree to 1e-9 on the headline PDN
+  // impedance circuit of all six technologies; impedance_profile itself
+  // (a small circuit, so the dense path) must match the dense sweep exactly.
+  const pd::ImpedanceOptions opts;
+  const auto freqs = cc::log_freq_grid(opts.f_start_hz, opts.f_stop_hz, opts.points_per_decade);
   for (const auto kind : th::table_order()) {
     const auto model = pd::build_pdn_model(design_of(kind));
+    const auto ic = pd::impedance_circuit(model);
+    const auto dense = cc::run_ac_dense(ic.ckt, freqs, {ic.bump});
+    const auto sparse = cc::run_ac_sparse(ic.ckt, freqs, {ic.bump});
+    const auto profile = pd::impedance_profile(model, opts);
 
-    core::set_solver_backend(core::SolverBackend::Dense);
-    const auto dense = pd::impedance_profile(model);
-    core::set_solver_backend(core::SolverBackend::Sparse);
-    const auto sparse = pd::impedance_profile(model);
-
-    ASSERT_EQ(dense.z_ohm.size(), sparse.z_ohm.size());
-    for (std::size_t i = 0; i < dense.z_ohm.size(); ++i) {
-      EXPECT_NEAR(sparse.z_ohm[i], dense.z_ohm[i],
-                  1e-9 * std::max(1.0, dense.z_ohm[i]))
-          << th::make_technology(kind).name << " @ " << dense.freq_hz[i] << " Hz";
+    ASSERT_EQ(profile.z_ohm.size(), freqs.size());
+    for (std::size_t i = 0; i < freqs.size(); ++i) {
+      const double z_dense = std::abs(dense.node_v[0][i]);
+      const double z_sparse = std::abs(sparse.node_v[0][i]);
+      EXPECT_NEAR(z_sparse, z_dense, 1e-9 * std::max(1.0, z_dense))
+          << th::make_technology(kind).name << " @ " << freqs[i] << " Hz";
+      EXPECT_EQ(profile.z_ohm[i], z_dense) << th::make_technology(kind).name << " @ " << freqs[i];
     }
   }
 }
@@ -347,16 +328,13 @@ TEST(Backend, ImpedanceEquivalentAcrossTechnologies) {
 TEST(Backend, SingularSystemThrowsInBothBackends) {
   // A degenerate voltage source (both terminals on one node) produces an
   // all-zero branch row: structurally singular however it is factored.
-  BackendGuard guard;
   cc::Circuit ckt;
   const auto a = ckt.add_node("a");
   ckt.add_resistor(a, cc::kGround, 10.0, "r");
   ckt.add_vsource(a, a, cc::Stimulus::dc(1.0), "vloop");
 
-  core::set_solver_backend(core::SolverBackend::Dense);
-  EXPECT_THROW(cc::solve_dc(ckt), std::runtime_error);
-  core::set_solver_backend(core::SolverBackend::Sparse);
-  EXPECT_THROW(cc::solve_dc(ckt), std::runtime_error);
+  EXPECT_THROW(cc::solve_dc_dense(ckt), std::runtime_error);
+  EXPECT_THROW(cc::solve_dc_sparse(ckt), std::runtime_error);
 }
 
 // --- Thermal multigrid -------------------------------------------------------
@@ -402,20 +380,21 @@ TEST(Multigrid, FallsBackToSorWhenUncoarsenable) {
   }
 }
 
-TEST(Multigrid, DispatcherHonorsExplicitMethod) {
-  BackendGuard guard;
-  core::set_solver_backend(core::SolverBackend::Dense);
-  const auto mesh = tml::build_thermal_mesh(design_of(th::TechnologyKind::Silicon25D),
-                                            {.nx = 32, .ny = 32});
-  // Explicit Multigrid overrides the Dense backend's SOR preference.
-  tml::SolverOptions mg_opts;
-  mg_opts.method = tml::SolverOptions::Method::Multigrid;
-  const auto mg = tml::solve_steady_state(mesh, mg_opts);
-  tml::SolverOptions sor_opts;
-  sor_opts.method = tml::SolverOptions::Method::Sor;
-  const auto sor = tml::solve_steady_state(mesh, sor_opts);
-  ASSERT_TRUE(mg.converged);
-  ASSERT_TRUE(sor.converged);
-  EXPECT_NEAR(mg.max_c, sor.max_c, 2e-2);
-  EXPECT_LT(mg.iterations, sor.iterations);
+TEST(Multigrid, DispatcherPicksBySize) {
+  // solve_steady_state is SOR below kMultigridMinExtent and multigrid at
+  // it, bit for bit.
+  const auto& design = design_of(th::TechnologyKind::Silicon25D);
+  const auto small = tml::build_thermal_mesh(design, {.nx = 32, .ny = 32});
+  const auto large = tml::build_thermal_mesh(
+      design, {.nx = tml::kMultigridMinExtent, .ny = tml::kMultigridMinExtent});
+  const auto small_field = tml::solve_steady_state(small);
+  const auto large_field = tml::solve_steady_state(large);
+  const auto sor = tml::solve_steady_state_sor(small);
+  const auto mg = tml::solve_steady_state_multigrid(large);
+  EXPECT_EQ(small_field.iterations, sor.iterations);
+  EXPECT_EQ(large_field.iterations, mg.iterations);
+  for (std::size_t z = 0; z < sor.t_c.size(); ++z) {
+    EXPECT_EQ(small_field.t_c[z].data(), sor.t_c[z].data());
+    EXPECT_EQ(large_field.t_c[z].data(), mg.t_c[z].data());
+  }
 }

@@ -15,6 +15,7 @@
 
 #include "core/canon.hpp"
 #include "core/flow.hpp"
+#include "core/instrument.hpp"
 #include "core/json.hpp"
 #include "core/parallel.hpp"
 #include "core/serialize.hpp"
@@ -239,7 +240,8 @@ TEST(StageGraphTest, NetlistStageKeyIsSharedAcrossTechnologies) {
 }
 
 // --- Determinism contract: byte-identical serialized results with the
-// cache on/off at 1 and 4 threads, for all six packaged technologies.
+// cache on/off at 1 and 4 threads and with tracing on, for all six
+// packaged technologies.
 
 TEST(StageGraphTest, ByteIdenticalAcrossCacheAndThreadCount) {
   CacheGuard guard;
@@ -263,12 +265,20 @@ TEST(StageGraphTest, ByteIdenticalAcrossCacheAndThreadCount) {
     stage::set_stage_cache_enabled(false);
     const std::string uncached_mt =
         gia::core::technology_result_to_json(gia::core::run_full_flow(tech, opts));
+    // Tracing (GIA_TRACE) records spans, counters and solver gauges; none
+    // of it may reach result bytes.
+    const bool was_traced = gia::core::instrument::enabled();
+    gia::core::instrument::set_enabled(true);
+    const std::string traced_mt =
+        gia::core::technology_result_to_json(gia::core::run_full_flow(tech, opts));
+    gia::core::instrument::set_enabled(was_traced);
 
     const char* name = gia::tech::short_name(tech);
     EXPECT_EQ(golden, cached_cold) << name << ": cache-enabled cold run drifted";
     EXPECT_EQ(golden, cached_warm) << name << ": cache-hit run drifted";
     EXPECT_EQ(golden, warm_mt) << name << ": 4-thread cached run drifted";
     EXPECT_EQ(golden, uncached_mt) << name << ": 4-thread uncached run drifted";
+    EXPECT_EQ(golden, traced_mt) << name << ": 4-thread traced run drifted";
   }
 }
 
