@@ -11,6 +11,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 
 #include "core/instrument.hpp"
 
@@ -18,48 +19,22 @@ namespace gia::core {
 
 namespace {
 
-/// True while the current thread is executing inside a parallel region
-/// (worker or participating caller); nested parallel calls run inline.
-thread_local bool t_in_parallel_region = false;
+class Pool;
 
-/// One parallel_for invocation: a shared chunk queue claimed by atomic
-/// increment. `active` counts pool workers currently touching the job so
-/// the caller knows when the stack-allocated Job may be destroyed.
-struct Job {
-  const std::function<void(std::size_t)>* fn = nullptr;
-  /// Submitting thread's open instrumentation span: workers adopt it so
-  /// spans opened inside the body nest under the caller's span.
-  void* span_ctx = nullptr;
-  std::size_t n_chunks = 0;
-  std::size_t chunk_size = 0;
-  std::size_t n = 0;
-  std::atomic<std::size_t> next{0};
-  std::atomic<int> active{0};
-  std::atomic<bool> abort{false};
-  std::mutex err_mu;
-  std::exception_ptr eptr;
+constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
 
-  void run_chunks() {
-    for (;;) {
-      if (abort.load(std::memory_order_relaxed)) return;
-      const std::size_t c = next.fetch_add(1, std::memory_order_relaxed);
-      if (c >= n_chunks) return;
-      const std::size_t begin = c * chunk_size;
-      const std::size_t end = std::min(n, begin + chunk_size);
-      try {
-        for (std::size_t i = begin; i < end; ++i) (*fn)(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(err_mu);
-        if (!eptr) eptr = std::current_exception();
-        abort.store(true, std::memory_order_relaxed);
-      }
-    }
-  }
-};
+/// Pool of the parallel region the current thread runs in (as a worker or
+/// as a caller running chunks or graph nodes), nullptr outside any region.
+/// A nested parallel_for reuses it -- never acquire(), which may resize or
+/// destroy the pool under a running worker -- and a nested run_dag runs inline.
+thread_local Pool* t_region = nullptr;
 
+/// Worker threads that run independent tasks from one FIFO deque. Tasks
+/// never wait for a task that has not started (see parallel.hpp), so any
+/// number of callers can share the pool.
 class Pool {
  public:
-  explicit Pool(int workers) {
+  explicit Pool(int workers) : idle_(static_cast<std::size_t>(workers)) {
     threads_.reserve(static_cast<std::size_t>(workers));
     for (int i = 0; i < workers; ++i) threads_.emplace_back([this] { worker(); });
   }
@@ -75,94 +50,112 @@ class Pool {
 
   int workers() const { return static_cast<int>(threads_.size()); }
 
-  /// Queue one independent task; the first idle worker runs it. Tasks must
-  /// not block waiting for other tasks (run_dag's never do).
-  void submit(std::function<void()> task) {
+  /// Queue `k` copies of an independent task; idle workers run them. A task
+  /// left in the queue when the pool stops is dropped, so callers must not
+  /// depend on a task ever running (parallel_for and run_dag do not).
+  void submit(const std::function<void()>& task, std::size_t k = 1) {
     {
       std::lock_guard<std::mutex> lk(mu_);
-      tasks_.push_back(std::move(task));
+      tasks_.insert(tasks_.end(), k, task);
     }
-    cv_.notify_one();
+    for (std::size_t i = 0; i < k; ++i) cv_.notify_one();
   }
 
-  void run(Job& job) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      job_ = &job;
-      ++gen_;
-    }
-    cv_.notify_all();
-
-    // The caller is a full participant; workers join as they wake.
-    t_in_parallel_region = true;
-    job.run_chunks();
-    t_in_parallel_region = false;
-
-    std::unique_lock<std::mutex> lk(mu_);
-    cv_done_.wait(lk, [&] { return job.active.load() == 0; });
-    job_ = nullptr;
-  }
+  /// Whether some worker is not running a task (a lock-free hint).
+  bool idle() const { return idle_.load(std::memory_order_relaxed) > 0; }
 
  private:
   void worker() {
-    std::uint64_t seen = 0;
+    t_region = this;
+    std::unique_lock<std::mutex> lk(mu_);
     for (;;) {
-      Job* job = nullptr;
-      std::function<void()> task;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait(lk, [&] { return stop_ || gen_ != seen || !tasks_.empty(); });
-        if (stop_) return;
-        if (!tasks_.empty()) {
-          task = std::move(tasks_.front());
-          tasks_.pop_front();
-        } else {
-          seen = gen_;
-          job = job_;
-          // Register under the lock only while work remains: once all chunks
-          // are claimed the caller may wake and destroy the job, so a late
-          // worker must not touch it.
-          if (job == nullptr || job->next.load(std::memory_order_relaxed) >= job->n_chunks) {
-            continue;
-          }
-          job->active.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-      t_in_parallel_region = true;
-      if (task) {
-        task();
-        t_in_parallel_region = false;
-        continue;
-      }
-      {
-        instrument::ContextScope span_ctx(job->span_ctx);
-        job->run_chunks();
-      }
-      t_in_parallel_region = false;
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        job->active.fetch_sub(1, std::memory_order_relaxed);
-      }
-      cv_done_.notify_all();
+      cv_.wait(lk, [&] { return stop_ || !tasks_.empty(); });
+      if (stop_) return;
+      std::function<void()> task = std::move(tasks_.front());
+      tasks_.pop_front();
+      idle_.fetch_sub(1, std::memory_order_relaxed);
+      lk.unlock();
+      task();
+      task = nullptr;
+      lk.lock();
+      idle_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 
   std::vector<std::thread> threads_;
   std::mutex mu_;
   std::condition_variable cv_;
-  std::condition_variable cv_done_;
-  Job* job_ = nullptr;
   std::deque<std::function<void()>> tasks_;
-  std::uint64_t gen_ = 0;
+  std::atomic<std::size_t> idle_;  ///< workers not running a task
   bool stop_ = false;
+};
+
+/// One parallel_for invocation. Shared (not stack-owned) because a helper
+/// task may start after the call has returned: it then claims no chunk and
+/// never touches `fn`. A claimed chunk keeps the caller (and so `fn`)
+/// inside parallel_for until it is counted done.
+struct Job : std::enable_shared_from_this<Job> {
+  const std::function<void(std::size_t)>* fn = nullptr;
+  void* span_ctx = nullptr;  ///< caller's open span, adopted by workers
+  Pool* pool = nullptr;
+  std::size_t n_chunks = 0;
+  std::size_t chunk_size = 0;
+  std::size_t n = 0;
+  std::mutex mu;
+  std::condition_variable cv;  ///< wakes the caller when the last chunk is done
+  std::size_t next = 0;        ///< next unclaimed chunk
+  std::size_t done = 0;        ///< chunks run or skipped
+  std::size_t failed = kNone;  ///< lowest chunk that threw
+  std::exception_ptr eptr;     ///< its exception
+
+  /// Claim and run chunks until none is left; `lk` holds `mu` on entry and
+  /// on return. Chunks are claimed in ascending order, so a failure skips
+  /// only chunks above it: those below are already claimed and still run,
+  /// and the lowest failing index's exception wins, as in a serial run.
+  void run_chunks(std::unique_lock<std::mutex>& lk) {
+    while (next < n_chunks) {
+      const std::size_t c = next++;
+      const bool more = next < n_chunks;
+      lk.unlock();
+      if (more) help(1);  // a worker idle since the last claim can still join
+      const std::size_t end = std::min(n, (c + 1) * chunk_size);
+      std::exception_ptr e;
+      try {
+        for (std::size_t i = c * chunk_size; i < end; ++i) (*fn)(i);
+      } catch (...) {
+        e = std::current_exception();
+      }
+      lk.lock();
+      ++done;
+      if (e && c < failed) {
+        failed = c;
+        eptr = e;
+        done += n_chunks - next;
+        next = n_chunks;
+      }
+    }
+    if (done == n_chunks) cv.notify_all();
+  }
+
+  /// Queue `k` helper tasks that claim chunks too, but only while some
+  /// worker is idle: short calls made while every worker is busy (SOR
+  /// sweeps inside a busy sweep) would otherwise pile up thousands of them.
+  void help(std::size_t k) {
+    if (!pool->idle()) return;
+    pool->submit(
+        [self = shared_from_this()] {
+          instrument::ContextScope ctx(self->span_ctx);
+          std::unique_lock<std::mutex> lk(self->mu);
+          self->run_chunks(lk);
+        },
+        k);
+  }
 };
 
 /// One run_dag invocation. Shared (not stack-owned) because a queued pool
 /// task may outlive the call: the caller can run the node a task was posted
 /// for, and the late task then finds nothing ready and returns untouched.
 struct Dag : std::enable_shared_from_this<Dag> {
-  static constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-
   const std::function<void(std::size_t)>* fn = nullptr;
   void* span_ctx = nullptr;  ///< caller's open span, adopted by workers
   Pool* pool = nullptr;
@@ -222,10 +215,11 @@ struct Dag : std::enable_shared_from_this<Dag> {
     }
   }
 
-  /// Hand one ready node to the pool. The task keeps the Dag alive; it
-  /// touches `fn` only if it claims a node, and an unfinished node keeps
+  /// Hand one ready node to the pool, if any. The task keeps the Dag alive;
+  /// it touches `fn` only if it claims a node, and an unfinished node keeps
   /// the caller (and so `fn`) inside run_dag.
   void post() {
+    if (pool == nullptr) return;
     pool->submit([self = shared_from_this()] {
       instrument::ContextScope ctx(self->span_ctx);
       std::unique_lock<std::mutex> lk(self->mu);
@@ -293,21 +287,33 @@ void set_thread_count(int n) {
 
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  Pool* pool = t_in_parallel_region ? nullptr : state().acquire();
+  Pool* pool = t_region != nullptr ? t_region : state().acquire();
   if (pool == nullptr || n == 1) {
     for (std::size_t i = 0; i < n; ++i) fn(i);
     return;
   }
 
-  Job job;
-  job.fn = &fn;
-  job.span_ctx = instrument::current_context();
-  job.n = n;
+  auto job = std::make_shared<Job>();
+  job->fn = &fn;
+  job->pool = pool;
+  job->span_ctx = instrument::current_context();
+  job->n = n;
+  // Four chunks per thread, claimed in turn: a slow index (a large die)
+  // does not hold up the rest of a static share.
   const std::size_t ways = static_cast<std::size_t>(pool->workers()) + 1;
-  job.n_chunks = std::min(n, ways);
-  job.chunk_size = (n + job.n_chunks - 1) / job.n_chunks;
-  pool->run(job);
-  if (job.eptr) std::rethrow_exception(job.eptr);
+  job->n_chunks = std::min(n, 4 * ways);
+  job->chunk_size = (n + job->n_chunks - 1) / job->n_chunks;
+  // Idle workers help; the caller claims whatever they have not, then waits
+  // only for chunks another thread is running.
+  job->help(std::min(job->n_chunks, ways) - 1);
+  std::unique_lock<std::mutex> lk(job->mu);
+  Pool* const outer = std::exchange(t_region, pool);
+  job->run_chunks(lk);
+  t_region = outer;
+  job->cv.wait(lk, [&] { return job->done == job->n_chunks; });
+  // Move the exception out: a late task may drop the last reference to the
+  // job, and it must not take the caller's exception object with it.
+  if (const std::exception_ptr e = std::move(job->eptr)) std::rethrow_exception(e);
 }
 
 void parallel_for_chunked(std::size_t n, std::size_t grain,
@@ -335,25 +341,10 @@ void run_dag(std::size_t n, const std::vector<std::vector<std::size_t>>& deps,
   }
   if (n == 0) return;
 
-  Pool* pool = t_in_parallel_region ? nullptr : state().acquire();
-  if (pool == nullptr) {
-    // Serial: index order is a topological order.
-    std::vector<char> bad(n, 0);
-    std::exception_ptr eptr;
-    for (std::size_t i = 0; i < n; ++i) {
-      bad[i] = std::any_of(deps[i].begin(), deps[i].end(), [&](std::size_t d) { return bad[d] != 0; });
-      if (bad[i] != 0) continue;
-      try {
-        fn(i);
-      } catch (...) {
-        bad[i] = 1;
-        if (!eptr) eptr = std::current_exception();
-      }
-    }
-    if (eptr) std::rethrow_exception(eptr);
-    return;
-  }
-
+  // Without a pool (one thread, or nested in a region) nothing is posted
+  // and the caller runs every node; lowest-ready-first is then index order.
+  Pool* const outer = t_region;
+  Pool* const pool = outer != nullptr ? nullptr : state().acquire();
   auto dag = std::make_shared<Dag>();
   dag->fn = &fn;
   dag->span_ctx = instrument::current_context();
@@ -369,7 +360,7 @@ void run_dag(std::size_t n, const std::vector<std::vector<std::size_t>>& deps,
 
   // The caller keeps one ready node, posts the rest, then runs whatever
   // becomes ready until every node has run or been skipped.
-  t_in_parallel_region = true;
+  if (pool != nullptr) t_region = pool;
   std::unique_lock<std::mutex> lk(dag->mu);
   for (std::size_t k = 1; k < dag->ready.size(); ++k) dag->post();
   for (;;) {
@@ -378,8 +369,8 @@ void run_dag(std::size_t n, const std::vector<std::vector<std::size_t>>& deps,
     dag->cv.wait(lk);
   }
   lk.unlock();
-  t_in_parallel_region = false;
-  if (dag->eptr) std::rethrow_exception(dag->eptr);
+  t_region = outer;
+  if (const std::exception_ptr e = std::move(dag->eptr)) std::rethrow_exception(e);
 }
 
 }  // namespace gia::core

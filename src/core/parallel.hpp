@@ -7,7 +7,7 @@
 
 /// \file parallel.hpp
 /// Dependency-free parallel execution layer: a lazily-started std::thread
-/// pool exposed through `parallel_for` (static chunking over an index
+/// pool exposed through `parallel_for` (fixed-size chunks of an index
 /// range), `parallel_for_chunked` (caller-visible fixed chunk grid),
 /// `ordered_reduce` (per-chunk partials combined in chunk order), and
 /// `run_dag` (dependency-driven execution of a small task graph).
@@ -21,8 +21,17 @@
 /// The worker count comes from `set_thread_count()` or, by default, the
 /// `GIA_THREADS` environment variable (falling back to the hardware
 /// concurrency). A count of 1 runs every helper inline on the calling
-/// thread -- the exact serial code path, no pool started. Nested calls
-/// from inside a parallel region also degrade to inline execution.
+/// thread -- the exact serial code path, no pool started.
+///
+/// Nesting: a `parallel_for` called from inside a parallel region (a
+/// `parallel_for` body or a `run_dag` node) shares the enclosing region's
+/// pool. Every `parallel_for` helps while it waits: it offers its chunks to
+/// idle pool workers as tasks, claims every chunk no worker has taken, and
+/// then waits only for chunks another thread is already running. No thread
+/// ever waits on work that has not started, and a thread runs at most one
+/// innermost chunk at a time, so the deepest running chunks always finish
+/// and nesting cannot deadlock at any depth or thread count. A nested
+/// `run_dag` runs inline in index order.
 
 namespace gia::core {
 
@@ -35,11 +44,13 @@ int thread_count();
 /// lazily on the next parallel call.
 void set_thread_count(int n);
 
-/// Invoke `fn(i)` for every i in [0, n). Indices are distributed over the
-/// pool in contiguous statically-sized chunks; exceptions thrown by `fn`
-/// are rethrown on the calling thread (first one wins, remaining chunks
-/// are abandoned). `fn` must be safe to call concurrently and must only
-/// write state owned by its index.
+/// Invoke `fn(i)` for every i in [0, n). Indices are split into contiguous
+/// fixed-size chunks that the caller and idle pool workers claim in
+/// ascending order. If `fn` throws, chunks above the failing one are
+/// abandoned, chunks below it still run, and the exception of the lowest
+/// failing index is rethrown on the calling thread -- the one a serial run
+/// throws, at any thread count. `fn` must be safe to call concurrently and
+/// must only write state owned by its index.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
 /// Invoke `fn(begin, end)` over the fixed chunk grid of [0, n) with chunks
@@ -60,9 +71,9 @@ void parallel_for_chunked(std::size_t n, std::size_t grain,
 /// independent tasks, so no pool worker ever waits inside `fn` for another
 /// node -- a graph never holds workers idle, and concurrent graphs (several
 /// flows in one daemon) share the pool. Among several ready nodes a thread
-/// takes the lowest index. Nodes run with nested parallel calls inline, as
-/// `parallel_for` bodies do. With one thread, or when called from inside a
-/// parallel region, the nodes run inline in index order.
+/// takes the lowest index. A `parallel_for` inside a node spreads over the
+/// pool workers the graph leaves idle. With one thread, or when called from
+/// inside a parallel region, the nodes run inline in index order.
 ///
 /// Failure: a node that throws is recorded; its transitive dependents are
 /// skipped (never started) while independent nodes still run, so the same

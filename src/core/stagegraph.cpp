@@ -310,8 +310,13 @@ ArtifactPtr run_stage(const Ctx& c, StageId id) {
       a->plans = chiplet::plan_chiplet_pair(np.logic_nl.io_signals, np.mem_nl.io_signals,
                                             np.logic_nl.cell_area_um2, np.mem_nl.cell_area_um2,
                                             technology);
-      a->logic = chiplet::run_chiplet_pnr(np.net, np.logic_nl, technology, a->plans.logic, o.pnr);
-      a->memory = chiplet::run_chiplet_pnr(np.net, np.mem_nl, technology, a->plans.memory, o.pnr);
+      // The two dies place and route concurrently; each index writes its own die.
+      parallel_for(2, [&](std::size_t i) {
+        const bool logic = i == 0;
+        (logic ? a->logic : a->memory) =
+            chiplet::run_chiplet_pnr(np.net, logic ? np.logic_nl : np.mem_nl, technology,
+                                     logic ? a->plans.logic : a->plans.memory, o.pnr);
+      });
       return a;
     }
     case StageId::Interposer: {
@@ -352,8 +357,11 @@ ArtifactPtr run_stage(const Ctx& c, StageId id) {
       auto a = std::make_shared<EyesArtifact>();
       if (o.with_eyes) {
         const auto& ln = dep<LinksArtifact>(c, StageId::Links);
-        a->l2m = signal::simulate_eye(ln.l2m.spec, o.eye_bits);
-        a->l2l = signal::simulate_eye(ln.l2l.spec, o.eye_bits);
+        // Two serial PRBS transients; each index writes its own eye.
+        parallel_for(2, [&](std::size_t i) {
+          (i == 0 ? a->l2m : a->l2l) =
+              signal::simulate_eye(i == 0 ? ln.l2m.spec : ln.l2l.spec, o.eye_bits);
+        });
       }
       return a;
     }

@@ -3,8 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <functional>
+#include <future>
+#include <mutex>
 #include <numeric>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -109,7 +114,34 @@ TEST(ParallelFor, PropagatesExceptions) {
   }
 }
 
-TEST(ParallelFor, NestedCallsRunInline) {
+TEST(ParallelFor, LowestFailingIndexWins) {
+  ThreadCountGuard guard;
+  for (int threads : {1, 2, 4}) {
+    co::set_thread_count(threads);
+    std::vector<std::atomic<int>> ran(64);
+    try {
+      co::parallel_for(ran.size(), [&](std::size_t i) {
+        ran[i]++;
+        if (i == 13) {
+          // Let index 40 fail first when the two run concurrently.
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw std::runtime_error("13");
+        }
+        if (i == 40) throw std::runtime_error("40");
+      });
+      ADD_FAILURE() << "parallel_for swallowed the exception";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "13") << threads << " threads";
+    }
+    // A failure abandons only work above it: every index a serial run
+    // reaches still runs.
+    for (std::size_t i = 0; i <= 13; ++i) {
+      EXPECT_EQ(ran[i].load(), 1) << threads << " threads, index " << i;
+    }
+  }
+}
+
+TEST(ParallelFor, NestedCallsCoverEveryIndexOnce) {
   ThreadCountGuard guard;
   co::set_thread_count(4);
   std::vector<int> hits(64, 0);
@@ -117,6 +149,107 @@ TEST(ParallelFor, NestedCallsRunInline) {
     co::parallel_for(8, [&](std::size_t inner) { hits[outer * 8 + inner] += 1; });
   });
   for (int h : hits) EXPECT_EQ(h, 1);
+}
+
+namespace {
+
+/// Number of distinct threads that run the indices of `parallel_for(n)`.
+/// Each index waits up to 20 ms for `want` threads to show up, so every
+/// executor the pool offers has time to claim an index, while a pool that
+/// offers fewer fails the caller's check after n * 20 ms instead of hanging.
+std::size_t distinct_threads(std::size_t n, std::size_t want) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> ids;
+  co::parallel_for(n, [&](std::size_t) {
+    std::unique_lock<std::mutex> lk(mu);
+    ids.insert(std::this_thread::get_id());
+    cv.notify_all();
+    cv.wait_for(lk, std::chrono::milliseconds(20), [&] { return ids.size() >= want; });
+  });
+  return ids.size();
+}
+
+/// Runs `body` on its own thread and fails the test if it has not returned
+/// within `limit`. A deadlocked pool cannot be torn down, so a timeout ends
+/// the process instead of hanging the suite.
+void expect_finishes_within(std::chrono::seconds limit, const std::function<void()>& body) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread runner([&] {
+    body();
+    done.set_value();
+  });
+  if (finished.wait_for(limit) != std::future_status::ready) {
+    ADD_FAILURE() << "did not finish within " << limit.count() << " s";
+    std::abort();
+  }
+  runner.join();
+}
+
+}  // namespace
+
+TEST(ParallelFor, NestedCallsUseIdleWorkers) {
+  ThreadCountGuard guard;
+  co::set_thread_count(4);
+  std::size_t seen = 0;
+  // A one-node graph: its node is a parallel region with three idle workers.
+  co::run_dag(1, {{}}, [&](std::size_t) { seen = distinct_threads(16, 2); });
+  EXPECT_GE(seen, 2u);
+}
+
+TEST(ParallelFor, ThreeLevelNestingFromTwoCallers) {
+  ThreadCountGuard guard;
+  constexpr std::size_t kA = 5, kB = 6, kC = 7;
+  for (int threads : {1, 2, 4}) {
+    co::set_thread_count(threads);
+    expect_finishes_within(std::chrono::seconds(120), [] {
+      auto caller = [](int rep) {
+        std::vector<std::atomic<int>> hits(kA * kB * kC);
+        co::parallel_for(kA, [&](std::size_t a) {
+          co::parallel_for(kB, [&](std::size_t b) {
+            co::parallel_for(kC, [&](std::size_t c) { hits[(a * kB + b) * kC + c]++; });
+          });
+        });
+        for (std::size_t i = 0; i < hits.size(); ++i) {
+          EXPECT_EQ(hits[i].load(), 1) << "rep " << rep << ", leaf " << i;
+        }
+        // An innermost throw comes out through both enclosing calls.
+        try {
+          co::parallel_for(kA, [&](std::size_t a) {
+            co::parallel_for(kB, [&](std::size_t b) {
+              co::parallel_for(kC, [&](std::size_t c) {
+                if (a == 3 && b == 2 && c == 5) throw std::runtime_error("leaf");
+              });
+            });
+          });
+          ADD_FAILURE() << "rep " << rep << ": the inner exception was lost";
+        } catch (const std::runtime_error& e) {
+          EXPECT_STREQ(e.what(), "leaf");
+        }
+      };
+      for (int rep = 0; rep < 20; ++rep) {
+        std::thread other(caller, rep);
+        caller(rep);
+        other.join();
+      }
+      // The pool is still usable.
+      std::atomic<int> count{0};
+      co::parallel_for(100, [&](std::size_t) { ++count; });
+      EXPECT_EQ(count.load(), 100);
+    });
+  }
+}
+
+TEST(ParallelFor, SetThreadCountBetweenRegionsResizesPool) {
+  ThreadCountGuard guard;
+  for (int n : {4, 2, 3, 1, 4}) {
+    co::set_thread_count(n);
+    // More indices than threads: a pool left at an old size would show a
+    // thread too many or be one short.
+    EXPECT_EQ(distinct_threads(16, static_cast<std::size_t>(n)), static_cast<std::size_t>(n))
+        << n << " threads";
+  }
 }
 
 // --- run_dag: dependency-driven graph execution.

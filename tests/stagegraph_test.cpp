@@ -282,6 +282,25 @@ TEST(StageGraphTest, ByteIdenticalAcrossCacheAndThreadCount) {
   }
 }
 
+// Per-die PnR runs concurrently inside the chiplet_pnr stage, so an
+// N-chiplet flow must give the same bytes at any thread count too.
+TEST(StageGraphTest, NChipletByteIdenticalAcrossThreadCount) {
+  CacheGuard guard;
+  FlowOptions opts;
+  opts.with_eyes = false;
+  opts.with_thermal = false;
+  opts.system.chiplets = 16;
+  opts.system.arrangement = gia::chiplet::Arrangement::Grid;
+  stage::set_stage_cache_enabled(false);
+  gia::core::set_thread_count(1);
+  const std::string serial = gia::core::technology_result_to_json(
+      gia::core::run_full_flow(TechnologyKind::Glass25D, opts));
+  gia::core::set_thread_count(4);
+  const std::string parallel = gia::core::technology_result_to_json(
+      gia::core::run_full_flow(TechnologyKind::Glass25D, opts));
+  EXPECT_EQ(serial, parallel) << "16-die grid drifted between 1 and 4 threads";
+}
+
 TEST(StageGraphTest, Monolithic2DIsRejected) {
   EXPECT_THROW(stage::execute_flow(TechnologyKind::Monolithic2D, FlowOptions{}),
                std::invalid_argument);
