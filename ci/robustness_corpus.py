@@ -177,6 +177,15 @@ def attack_bad_protocol_lines(port):
         b'{"stats":true,"bogus":1}',
         b'{"shutdown":true,"bogus":1}',
         b'{"ping":true,"shutdown":true}',
+        # No verb at all, and two verbs on one line: the first verb in the
+        # daemon's verb table answers and rejects the second by name.
+        b'{"id":1}',
+        b'{"flow_request":{},"search":{"space":{"tech":["glass25d"]}}}',
+        b'{"search_cancel":1,"search_refine":1}',
+        # deadline_ms is read in [0, 2147483647]; a larger value once
+        # overflowed the deadline arithmetic (UBSan: signed overflow).
+        b'{"flow_request":{"tech":"glass3d"},"deadline_ms":9223372036854775807}',
+        b'{"search":{"space":{"tech":["glass25d"]}},"deadline_ms":9223372036854775807}',
     ]
     for line in lines:
         resp = roundtrip(port, line)

@@ -4,11 +4,7 @@
 /// SIGINT/SIGTERM. See src/serve/daemon.hpp for the wire protocol;
 /// `giaflow client/stats/shutdown` are ready-made peers.
 ///
-///   giad [--port N] [--workers N] [--conn-workers N]
-///        [--cache-capacity N] [--cache-dir DIR]
-///        [--idle-timeout-ms N] [--io-timeout-ms N] [--max-conn-ms N]
-///        [--max-line-bytes N] [--max-search-points N]
-///        [--max-active-searches N] [--max-search-ms N]
+///   giad [server flags]   (an unknown flag such as --help prints them)
 ///
 /// --port 0 picks an ephemeral port (printed on stdout at startup and
 /// reported as "port" in the stats verb).
@@ -29,15 +25,8 @@ int main(int argc, char** argv) {
   gia::serve::ServerOptions opts;
   std::string err;
   if (!gia::serve::parse_server_args(argc - 1, argv + 1, &opts, &err)) {
-    std::fprintf(stderr,
-                 "giad: %s\n"
-                 "usage: giad [--port N] [--workers N] [--conn-workers N]\n"
-                 "            [--cache-capacity N] [--cache-dir DIR]\n"
-                 "            [--idle-timeout-ms N] [--io-timeout-ms N]\n"
-                 "            [--max-conn-ms N] [--max-line-bytes N]\n"
-                 "            [--max-search-points N] [--max-active-searches N]\n"
-                 "            [--max-search-ms N]\n",
-                 err.c_str());
+    std::fprintf(stderr, "giad: %s\nusage: giad %s\n", err.c_str(),
+                 gia::serve::server_args_usage(12).c_str());
     return 2;
   }
   return gia::serve::run_daemon(opts);

@@ -1,48 +1,13 @@
-/// giaflow: the unified command-line driver for the toolkit.
-///
-///   giaflow flow <tech> [--chiplets N] [--arrangement grid|hex|placed|floorplan]
-///                 [--memory-every N] [--pitch-scale X] [--placed "x:y;..."]
-///                 [--die-sizes "w:h;..."]
-///                                       run the full co-design flow; the
-///                                       system flags generalize it from the
-///                                       paper's 2-tile study to N chiplets
-///   giaflow netlist <out.gnl>           generate + dump the OpenPiton netlist
-///   giaflow layout <tech> <out.svg>     route and render the interposer
-///   giaflow eye <tech> <len_um> <gbps>  eye metrics for a channel
-///   giaflow cost                        cost comparison across all designs
-///   giaflow serve [--port N] [--workers N] [--conn-workers N]
-///                 [--cache-capacity N] [--cache-dir DIR] [--idle-timeout-ms N]
-///                 [--io-timeout-ms N] [--max-conn-ms N] [--max-line-bytes N]
-///                 [--max-search-points N] [--max-active-searches N]
-///                 [--max-search-ms N]
-///                                       run the giad serving daemon
-///   giaflow client <port> <tech>        submit one flow request to a daemon
-///                                       (retries with jittered backoff)
-///   giaflow search <port> [--spec FILE | --spec-json JSON] [--deadline-ms N]
-///                                       stream a dse Pareto search from a
-///                                       daemon (default spec: 16-die
-///                                       grid/hex/floorplan across the four
-///                                       interposer technologies). A search
-///                                       is stateful -- the stream is never
-///                                       blindly resubmitted on error.
-///   giaflow search-cancel <port> <id>   cancel a running search by search_id
-///   giaflow search-refine <port> <id> [rounds]
-///                                       grant a running search extra refine
-///                                       rounds around its current front
-///   giaflow stats <port>                print a running daemon's counters
-///   giaflow shutdown <port>             ask a daemon to drain and exit
-///
-/// Global flags (before or after the subcommand):
-///   --threads N   worker threads for the parallel layer (overrides GIA_THREADS)
-///   --trace       enable instrumentation and print a run report on exit
-///                 (equivalent to GIA_TRACE=1)
-///
-/// Technology names: glass25d glass3d si25d si3d shinko apx
+/// giaflow: the unified command-line driver for the toolkit -- the
+/// co-design flow and its pieces, and peers for the giad daemon
+/// (src/serve/daemon.hpp). `usage()` below is the one list of its commands
+/// and flags; giaflow prints it when run without a command.
 
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <exception>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -66,10 +31,6 @@
 using namespace gia;
 
 namespace {
-
-bool parse_tech(const char* s, tech::TechnologyKind* out) {
-  return tech::parse_kind(s, out);
-}
 
 /// `giaflow flow` system flags and the request knob each one sets.
 constexpr struct {
@@ -103,38 +64,56 @@ bool set_flow_flag(const char* knob, const char* text, tech::TechnologyKind* kin
 }
 
 int usage() {
-  std::fprintf(stderr,
-               "usage:\n"
-               "  giaflow [--threads N] [--trace] <command> ...\n"
-               "  giaflow flow <tech> [--chiplets N] [--arrangement "
-               "grid|hex|placed|floorplan]\n"
-               "               [--memory-every N] [--pitch-scale X] [--placed \"x:y;...\"]\n"
-               "               [--die-sizes \"w:h;...\"]\n"
-               "  giaflow netlist <out.gnl>\n"
-               "  giaflow layout <tech> <out.svg>\n"
-               "  giaflow eye <tech> <len_um> <gbps>\n"
-               "  giaflow cost\n"
-               "  giaflow serve [--port N] [--workers N] [--conn-workers N] "
-               "[--cache-capacity N]\n"
-               "                [--cache-dir DIR] [--idle-timeout-ms N] "
-               "[--io-timeout-ms N]\n"
-               "                [--max-conn-ms N] [--max-line-bytes N] "
-               "[--max-search-points N]\n"
-               "                [--max-active-searches N] [--max-search-ms N]\n"
-               "  giaflow client <port> <tech>\n"
-               "  giaflow search <port> [--spec FILE | --spec-json JSON] "
-               "[--deadline-ms N]\n"
-               "  giaflow search-cancel <port> <id>\n"
-               "  giaflow search-refine <port> <id> [rounds]\n"
-               "  giaflow stats <port>\n"
-               "  giaflow shutdown <port>\n"
-               "tech: glass25d glass3d si25d si3d shinko apx\n");
+  std::fprintf(
+      stderr,
+      "usage: giaflow [--threads N] [--trace] <command> ...\n"
+      "  --threads N  worker threads for the parallel layer (overrides GIA_THREADS)\n"
+      "  --trace      instrument the run and print a report on exit (as GIA_TRACE=1)\n"
+      "commands (tech: glass25d glass3d si25d si3d shinko apx):\n"
+      "  flow <tech> [--chiplets N] [--arrangement grid|hex|placed|floorplan]\n"
+      "       [--memory-every N] [--pitch-scale X] [--placed \"x:y;...\"]\n"
+      "       [--die-sizes \"w:h;...\"]\n"
+      "      run the full co-design flow; the system flags generalize it from\n"
+      "      the paper's 2-tile study to N chiplets\n"
+      "  netlist <out.gnl>                   generate + dump the OpenPiton netlist\n"
+      "  layout <tech> <out.svg>             route and render the interposer\n"
+      "  eye <tech> <len_um> <gbps>          eye metrics for a channel\n"
+      "  cost                                cost comparison across all designs\n"
+      "  serve %s\n"
+      "      run the giad serving daemon\n"
+      "  client <port> <tech>                submit one flow request to a daemon\n"
+      "                                      (retries with jittered backoff)\n"
+      "  search <port> [--spec FILE | --spec-json JSON] [--deadline-ms N]\n"
+      "      stream a dse Pareto search from a daemon (default spec: 16-die\n"
+      "      grid/hex/floorplan across the four interposer technologies); a\n"
+      "      search is stateful, so the stream is never resubmitted on error\n"
+      "  search-cancel <port> <id>           cancel a running search by search_id\n"
+      "  search-refine <port> <id> [rounds]  grant a running search extra refine\n"
+      "                                      rounds around its current front\n"
+      "  stats <port>                        print a running daemon's counters\n"
+      "  shutdown <port>                     ask a daemon to drain and exit\n",
+      serve::server_args_usage(8).c_str());
   return 2;
 }
 
-int client_roundtrip(int port, const std::string& line) {
+/// A whole decimal argument in [min, max], by giad's flag rule; otherwise
+/// says why on stderr and returns false.
+bool int_arg(const char* name, const char* text, long long min, long long max, long long* out) {
+  std::string err;
+  if (serve::parse_int_arg(name, text, min, max, out, &err)) return true;
+  std::fprintf(stderr, "giaflow: %s\n", err.c_str());
+  return false;
+}
+
+constexpr long long kIntMax = std::numeric_limits<int>::max();
+constexpr long long kAnyMax = std::numeric_limits<long long>::max();
+
+/// Send one request line and print the response. Idempotent requests retry
+/// with jittered backoff (the defaults: 4 attempts); others go once.
+int client_roundtrip(int port, const std::string& line, bool idempotent = true) {
   serve::Client client;
-  serve::Client::RetryPolicy retry;  // defaults: 4 attempts, jittered backoff
+  serve::Client::RetryPolicy retry;
+  if (!idempotent) retry.max_attempts = 1;
   std::string err, resp;
   int attempts = 0;
   if (!client.request_with_retry(port, line, retry, &resp, &err, &attempts)) {
@@ -212,12 +191,9 @@ void render_search_event(const core::json::Value& v) {
 /// an active-search slot), so unlike `client` there is NO retry/resubmit
 /// here: any transport error after the request is sent surfaces as a hard
 /// failure for the operator to inspect.
-int run_search_stream(int port, const std::string& spec_json, long deadline_ms) {
+int run_search_stream(int port, const std::string& spec_json, long long deadline_ms) {
   std::string line = "{\"search\":" + spec_json;
-  if (deadline_ms > 0) {
-    line += ",\"deadline_ms\":";
-    line += std::to_string(deadline_ms);
-  }
+  if (deadline_ms > 0) line += ",\"deadline_ms\":" + std::to_string(deadline_ms);
   line += "}";
 
   serve::Client client;
@@ -270,7 +246,9 @@ int main(int argc, char** argv) {
   bool trace = false;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--threads") && i + 1 < argc) {
-      core::set_thread_count(std::atoi(argv[++i]));
+      long long threads = 0;
+      if (!int_arg("--threads", argv[++i], 1, kIntMax, &threads)) return usage();
+      core::set_thread_count(static_cast<int>(threads));
     } else if (!std::strcmp(argv[i], "--trace")) {
       trace = true;
       core::instrument::set_enabled(true);
@@ -283,8 +261,11 @@ int main(int argc, char** argv) {
   const int n = static_cast<int>(args.size());
   tech::TechnologyKind kind;
   int rc = -1;
+  // The daemon peers below take its port first.
+  long long port = 0, id = 0, rounds = 1;
+  const auto port_arg = [&] { return int_arg("<port>", args[1], 1, 65535, &port); };
 
-  if (cmd == "flow" && n >= 2 && parse_tech(args[1], &kind)) {
+  if (cmd == "flow" && n >= 2 && tech::parse_kind(args[1], &kind)) {
     core::FlowOptions opts;
     opts.with_eyes = true;
     bool ok = true;
@@ -331,13 +312,13 @@ int main(int argc, char** argv) {
     std::printf("wrote %s: %d instances, %d nets (%d inter-tile wires after SerDes)\n",
                 args[1], net.instance_count(), net.net_count(), rpt.wires_after);
     rc = 0;
-  } else if (cmd == "layout" && n == 3 && parse_tech(args[1], &kind)) {
+  } else if (cmd == "layout" && n == 3 && tech::parse_kind(args[1], &kind)) {
     const auto design = interposer::build_interposer_design(kind);
     core::write_file(args[2], core::floorplan_svg(design));
     std::printf("wrote %s (%.2f x %.2f mm, %zu nets)\n", args[2], design.footprint_w_mm(),
                 design.footprint_h_mm(), design.routes.nets.size());
     rc = 0;
-  } else if (cmd == "eye" && n == 4 && parse_tech(args[1], &kind)) {
+  } else if (cmd == "eye" && n == 4 && tech::parse_kind(args[1], &kind)) {
     auto spec = core::make_fixed_line_spec(tech::make_technology(kind), std::atof(args[2]));
     spec.bit_rate_hz = std::atof(args[3]) * 1e9;
     const auto eye = signal::simulate_eye(spec, 96);
@@ -362,14 +343,14 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "giaflow serve: %s\n", err.c_str());
       rc = usage();
     }
-  } else if (cmd == "client" && n == 3 && parse_tech(args[2], &kind)) {
+  } else if (cmd == "client" && n == 3 && tech::parse_kind(args[2], &kind) && port_arg()) {
     serve::FlowRequest req;
     req.tech = kind;
     req.options.with_eyes = true;
-    rc = client_roundtrip(std::atoi(args[1]), serve::request_to_json(req));
-  } else if (cmd == "search" && n >= 2) {
+    rc = client_roundtrip(static_cast<int>(port), serve::request_to_json(req));
+  } else if (cmd == "search" && n >= 2 && port_arg()) {
     std::string spec = demo_search_spec();
-    long deadline_ms = 0;
+    long long deadline_ms = 0;
     bool ok = true;
     for (int i = 2; i < n; ++i) {
       const std::string a = args[i];
@@ -382,7 +363,7 @@ int main(int argc, char** argv) {
       } else if (a == "--spec-json" && i + 1 < n) {
         spec = args[++i];
       } else if (a == "--deadline-ms" && i + 1 < n) {
-        deadline_ms = std::atol(args[++i]);
+        ok = int_arg("--deadline-ms", args[++i], 0, kIntMax, &deadline_ms) && ok;
       } else {
         std::fprintf(stderr, "giaflow search: unknown option %s\n", a.c_str());
         ok = false;
@@ -390,29 +371,24 @@ int main(int argc, char** argv) {
     }
     // Trailing newlines from a spec file would split the request line.
     while (!spec.empty() && (spec.back() == '\n' || spec.back() == '\r')) spec.pop_back();
-    rc = ok ? run_search_stream(std::atoi(args[1]), spec, deadline_ms) : usage();
-  } else if (cmd == "search-cancel" && n == 3) {
+    rc = ok ? run_search_stream(static_cast<int>(port), spec, deadline_ms) : usage();
+  } else if (cmd == "search-cancel" && n == 3 && port_arg() &&
+             int_arg("<id>", args[2], 1, kAnyMax, &id)) {
     // Cancellation is idempotent server-side, so the retrying client is safe.
-    rc = client_roundtrip(std::atoi(args[1]),
-                          std::string("{\"search_cancel\":") + args[2] + "}");
-  } else if (cmd == "search-refine" && (n == 3 || n == 4)) {
-    // NOT idempotent (every accepted request adds rounds): one shot, no retry.
-    serve::Client client;
-    std::string err, resp;
-    std::string line = std::string("{\"search_refine\":") + args[2];
-    if (n == 4) line += std::string(",\"rounds\":") + args[3];
-    line += "}";
-    if (!client.connect(std::atoi(args[1]), &err) || !client.roundtrip(line, &resp, &err)) {
-      std::fprintf(stderr, "giaflow search-refine: %s\n", err.c_str());
-      rc = 1;
-    } else {
-      std::printf("%s\n", resp.c_str());
-      rc = 0;
-    }
-  } else if (cmd == "stats" && n == 2) {
-    rc = client_roundtrip(std::atoi(args[1]), "{\"stats\":true}");
-  } else if (cmd == "shutdown" && n == 2) {
-    rc = client_roundtrip(std::atoi(args[1]), "{\"shutdown\":true}");
+    rc = client_roundtrip(static_cast<int>(port),
+                          "{\"search_cancel\":" + std::to_string(id) + "}");
+  } else if (cmd == "search-refine" && (n == 3 || n == 4) && port_arg() &&
+             int_arg("<id>", args[2], 1, kAnyMax, &id) &&
+             (n == 3 || int_arg("rounds", args[3], 1, kIntMax, &rounds))) {
+    // Not idempotent (every accepted request adds rounds): one shot.
+    rc = client_roundtrip(static_cast<int>(port),
+                          "{\"search_refine\":" + std::to_string(id) +
+                              ",\"rounds\":" + std::to_string(rounds) + "}",
+                          false);
+  } else if (cmd == "stats" && n == 2 && port_arg()) {
+    rc = client_roundtrip(static_cast<int>(port), "{\"stats\":true}");
+  } else if (cmd == "shutdown" && n == 2 && port_arg()) {
+    rc = client_roundtrip(static_cast<int>(port), "{\"shutdown\":true}");
   }
 
   if (rc < 0) return usage();

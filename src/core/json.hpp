@@ -39,9 +39,12 @@ struct Value {
   /// type. Throws std::runtime_error naming `what` (may be empty) when the
   /// value has another JSON kind, when an integer read meets a fraction or
   /// a value T cannot hold, or when a number overflows a double. Integral
-  /// spellings such as 1e3 and 16.0 read exactly as integers.
+  /// spellings such as 1e3 and 16.0 read exactly as integers. The second
+  /// form further bounds an integral read to the inclusive range [lo, hi].
   template <typename T>
   T as(std::string_view what = {}) const;
+  template <typename T>
+  T as(std::string_view what, T lo, T hi) const;
 
   /// Shorthands for the checked reads above.
   bool as_bool() const { return as<bool>(); }
@@ -88,15 +91,20 @@ T Value::as(std::string_view what) const {
     return static_cast<T>(number(what));
   } else {
     static_assert(std::is_integral_v<T>, "as<T>: T must be bool, a number type or a string");
-    bool negative = false;
-    std::uint64_t magnitude = 0;
-    if (!integer(what, &negative, &magnitude) || !fits<T>(negative, magnitude)) {
-      mistyped(what, "an integer in [" + std::to_string(std::numeric_limits<T>::lowest()) +
-                         ", " + std::to_string(std::numeric_limits<T>::max()) + "]");
-    }
-    // Two's-complement wrap: -magnitude for a negative value (C++20).
-    return static_cast<T>(negative ? 0 - magnitude : magnitude);
+    return as<T>(what, std::numeric_limits<T>::lowest(), std::numeric_limits<T>::max());
   }
+}
+
+template <typename T>
+T Value::as(std::string_view what, T lo, T hi) const {
+  bool negative = false;
+  std::uint64_t magnitude = 0;
+  const bool held = integer(what, &negative, &magnitude) && fits<T>(negative, magnitude);
+  // Two's-complement wrap: -magnitude for a negative value (C++20).
+  const T x = static_cast<T>(negative ? 0 - magnitude : magnitude);
+  if (!held || x < lo || x > hi)
+    mistyped(what, "an integer in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]");
+  return x;
 }
 
 /// Bounds applied while parsing untrusted input. The defaults accept every

@@ -603,8 +603,7 @@ std::uint64_t StageCacheStats::total_coalesced() const {
 
 StageCacheStats stage_cache_stats() { return cache().stats(); }
 
-std::string stage_cache_stats_json() {
-  const StageCacheStats s = stage_cache_stats();
+std::string stage_cache_stats_json(const StageCacheStats& s) {
   std::string out = "{";
   json::member("enabled", s.enabled, out);
   json::member("entries", s.entries, out);

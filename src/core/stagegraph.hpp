@@ -196,9 +196,9 @@ StageCacheStats stage_cache_stats();
 /// counters -- used by the dse:: cache-aware batch ordering, which must
 /// observe the cache without perturbing it. Always false when disabled.
 bool stage_cache_resident(std::uint64_t key);
-/// Canonical single-line JSON of `stage_cache_stats()` (embedded in the
-/// daemon `stats` verb and bench JSON lines).
-std::string stage_cache_stats_json();
+/// Canonical single-line JSON of `s` (embedded in the daemon `stats` verb
+/// and bench JSON lines).
+std::string stage_cache_stats_json(const StageCacheStats& s = stage_cache_stats());
 
 /// Drop every cached artifact and zero the counters.
 void stage_cache_clear();

@@ -13,18 +13,18 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cinttypes>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <deque>
-#include <functional>
-#include <initializer_list>
 #include <limits>
 #include <mutex>
 #include <set>
 #include <stdexcept>
 #include <thread>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -46,6 +46,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+constexpr long long kIntMax = std::numeric_limits<int>::max();
+constexpr long long kAnyMax = std::numeric_limits<long long>::max();
+
 /// Send the whole buffer. With SO_SNDTIMEO set, a peer that stops reading
 /// makes send() fail with EAGAIN after the timeout -- reported as false with
 /// errno preserved so the caller can count it as a write deadline.
@@ -66,6 +69,15 @@ std::string errno_str(const char* what) {
   return std::string(what) + ": " + std::strerror(errno);
 }
 
+/// 127.0.0.1:`port`.
+sockaddr_in loopback(int port) {
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<std::uint16_t>(port));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  return addr;
+}
+
 void set_io_timeouts(int fd, int io_timeout_ms) {
   if (io_timeout_ms <= 0) return;
   struct timeval tv;
@@ -75,13 +87,21 @@ void set_io_timeouts(int fd, int io_timeout_ms) {
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
 }
 
-/// The first field of request object `v` not in `allowed`, or nullptr.
-const std::string* unknown_field(const json::Value& v, std::initializer_list<const char*> allowed) {
-  for (const auto& kv : v.obj) {
-    if (std::none_of(allowed.begin(), allowed.end(), [&](const char* k) { return kv.first == k; }))
-      return &kv.first;
-  }
-  return nullptr;
+/// The opening every response and event line shares: `{"ok":true|false`
+/// and the echoed request id (`id_field` is `,"id":...` or empty).
+std::string reply(bool ok, const std::string& id_field) {
+  std::string out = ok ? "{\"ok\":true" : "{\"ok\":false";
+  out += id_field;
+  return out;
+}
+
+/// Best-effort last line before the daemon closes a connection itself (a
+/// deadline counts as a timeout, not a protocol error: the bytes were fine).
+void send_close_error(int fd, const char* what) {
+  std::string line = reply(false, {});
+  json::member("error", what, line);
+  line += "}\n";
+  send_all(fd, line);
 }
 
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -122,14 +142,10 @@ struct Server::Impl {
       n_protocol_errors{0}, n_timeouts{0}, n_oversize{0};
   std::chrono::steady_clock::time_point start_time{};
 
-  /// Running searches, addressable by search_id from any connection
-  /// (search_cancel / search_refine cross-connection verbs).
-  struct ActiveSearch {
-    std::uint64_t key = 0;  ///< SearchSpec content key
-    std::shared_ptr<dse::SearchControl> ctl;
-  };
+  /// Running searches' controls, addressable by search_id from any
+  /// connection (search_cancel / search_refine cross-connection verbs).
   mutable std::mutex search_mu;
-  std::unordered_map<std::uint64_t, ActiveSearch> active_searches;
+  std::unordered_map<std::uint64_t, std::shared_ptr<dse::SearchControl>> active_searches;
   std::uint64_t next_search_id = 1;
 
   std::uint64_t active_search_count() const {
@@ -166,7 +182,7 @@ struct Server::Impl {
     // search_done before its connection winds down.
     {
       std::lock_guard<std::mutex> lk(search_mu);
-      for (auto& [sid, as] : active_searches) as.ctl->cancel();
+      for (auto& [sid, ctl] : active_searches) ctl->cancel();
     }
   }
 
@@ -223,16 +239,6 @@ struct Server::Impl {
     }
   }
 
-  /// Best-effort final error line before a deadline close; counted as a
-  /// timeout, not a protocol error (the bytes on the wire were fine).
-  void timeout_close(int fd, const char* what) {
-    n_timeouts.fetch_add(1, std::memory_order_relaxed);
-    std::string resp = "{\"ok\":false,\"error\":";
-    json::escape(what, resp);
-    resp += "}\n";
-    send_all(fd, resp);
-  }
-
   void handle_connection(int fd) {
     n_connections.fetch_add(1, std::memory_order_relaxed);
     set_io_timeouts(fd, opts.io_timeout_ms);
@@ -248,19 +254,10 @@ struct Server::Impl {
         buf.erase(0, pos + 1);
         if (!line.empty() && line.back() == '\r') line.pop_back();
         if (line.empty()) continue;
+        // An empty reply: a streaming handler lost the peer mid-stream, so
+        // the connection cannot be resynchronised.
         std::string resp = handle_line(fd, line);
-        if (resp.empty()) {
-          // A streaming handler lost the peer mid-stream; the connection
-          // cannot be resynchronised.
-          open = false;
-          break;
-        }
-        resp.push_back('\n');
-        if (!send_all(fd, resp)) {
-          if (errno == EAGAIN || errno == EWOULDBLOCK)
-            n_timeouts.fetch_add(1, std::memory_order_relaxed);  // write deadline
-          open = false;
-        }
+        open = !resp.empty() && send_line(fd, std::move(resp));
         last_activity = Clock::now();
       }
       if (!open || stopping.load(std::memory_order_relaxed)) break;
@@ -269,28 +266,24 @@ struct Server::Impl {
       // or the connection's wall-clock budget, so a slow-loris client (bytes
       // trickling in, never a full line) cannot pin this worker.
       int timeout_ms = 200;
-      const auto now = Clock::now();
-      if (opts.idle_timeout_ms > 0) {
-        const auto idle_left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                                   last_activity + std::chrono::milliseconds(opts.idle_timeout_ms) -
-                                   now)
-                                   .count();
-        if (idle_left <= 0) {
-          timeout_close(fd, "idle timeout");
-          break;
-        }
-        if (idle_left < timeout_ms) timeout_ms = static_cast<int>(idle_left);
-      }
-      if (opts.max_connection_ms > 0) {
-        const auto conn_left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                                   conn_start + std::chrono::milliseconds(opts.max_connection_ms) -
-                                   now)
-                                   .count();
-        if (conn_left <= 0) {
-          timeout_close(fd, "connection budget exhausted");
-          break;
-        }
-        if (conn_left < timeout_ms) timeout_ms = static_cast<int>(conn_left);
+      const char* expired = nullptr;
+      const auto budget = [&, now = Clock::now()](Clock::time_point from, int limit_ms,
+                                                  const char* what) {
+        if (limit_ms <= 0 || expired) return;
+        const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
+                              from + std::chrono::milliseconds(limit_ms) - now)
+                              .count();
+        if (left <= 0)
+          expired = what;
+        else if (left < timeout_ms)
+          timeout_ms = static_cast<int>(left);
+      };
+      budget(last_activity, opts.idle_timeout_ms, "idle timeout");
+      budget(conn_start, opts.max_connection_ms, "connection budget exhausted");
+      if (expired) {
+        n_timeouts.fetch_add(1, std::memory_order_relaxed);
+        send_close_error(fd, expired);
+        break;
       }
 
       struct pollfd p = {fd, POLLIN, 0};
@@ -303,14 +296,15 @@ struct Server::Impl {
       const ssize_t n = fault::recv(fd, chunk, sizeof chunk, 0);
       if (n < 0 && errno == EINTR) continue;
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        timeout_close(fd, "read timeout");
+        n_timeouts.fetch_add(1, std::memory_order_relaxed);
+        send_close_error(fd, "read timeout");
         break;
       }
       if (n <= 0) break;
       if (buf.size() + static_cast<std::size_t>(n) > opts.max_line_bytes) {
         n_protocol_errors.fetch_add(1, std::memory_order_relaxed);
         n_oversize.fetch_add(1, std::memory_order_relaxed);
-        send_all(fd, "{\"ok\":false,\"error\":\"request line too long\"}\n");
+        send_close_error(fd, "request line too long");
         break;
       }
       buf.append(chunk, static_cast<std::size_t>(n));
@@ -318,19 +312,45 @@ struct Server::Impl {
     }
   }
 
+  /// Send one reply line; false when the peer is gone (a write deadline
+  /// counts as a timeout).
+  bool send_line(int fd, std::string line) {
+    line.push_back('\n');
+    if (send_all(fd, line)) return true;
+    if (errno == EAGAIN || errno == EWOULDBLOCK)
+      n_timeouts.fetch_add(1, std::memory_order_relaxed);
+    return false;
+  }
+
   std::string error_response(const std::string& id_field, const std::string& msg) {
     n_protocol_errors.fetch_add(1, std::memory_order_relaxed);
-    std::string out = "{\"ok\":false";
-    out += id_field;
+    std::string out = reply(false, id_field);
     json::member("error", msg, out);
     out.push_back('}');
     return out;
   }
 
-  /// Dispatch one request line. Most verbs return their single response
-  /// line (no trailing newline); the streaming `search` verb additionally
-  /// writes intermediate event lines straight to `fd`. An empty return
-  /// means the peer vanished mid-stream and the connection must close.
+  /// A field a verb takes besides its name and `id`; an integer field
+  /// with `lo <= hi` is checked against that inclusive range on dispatch.
+  struct Field {
+    const char* name = nullptr;
+    std::int64_t lo = 1, hi = 0;
+  };
+  /// One verb table row: the handler gets the request, the verb's value
+  /// and the echoed id.
+  struct Verb {
+    const char* name;
+    Field fields[4];
+    std::string (Impl::*handle)(int fd, const json::Value& v, const json::Value& arg,
+                                const std::string& id_field);
+  };
+  static const Verb kVerbs[7];
+
+  /// Dispatch one request line to the first verb row it names. Most verbs
+  /// return their single response line (no trailing newline); the
+  /// streaming `search` verb additionally writes intermediate event lines
+  /// straight to `fd`. An empty return means the peer vanished mid-stream
+  /// and the connection must close.
   std::string handle_line(int fd, const std::string& line) {
     GIA_SPAN("serve/request");
     n_requests.fetch_add(1, std::memory_order_relaxed);
@@ -353,54 +373,39 @@ struct Server::Impl {
         }
       }
 
-      if (const json::Value* frv = v.find("flow_request")) return handle_flow(v, *frv, id_field);
-      if (v.find("search")) return handle_search(fd, v, id_field);
-      if (const json::Value* cv = v.find("search_cancel"))
-        return handle_search_cancel(v, *cv, id_field);
-      if (const json::Value* rv = v.find("search_refine"))
-        return handle_search_refine(v, *rv, id_field);
-      // The bare verbs take no field but `id`, so a line naming two of them
-      // is rejected rather than answered by whichever is tested first.
-      for (const char* verb : {"stats", "ping", "shutdown"}) {
-        if (!v.find(verb)) continue;
-        if (const std::string* f = unknown_field(v, {verb, "id"}))
-          return error_response(id_field, "unknown request field: " + *f);
+      for (const Verb& verb : kVerbs) {
+        const json::Value* arg = v.find(verb.name);
+        if (arg == nullptr) continue;
+        // One verb per line: a second verb is an unknown field of the first.
+        for (const auto& [name, value] : v.obj) {
+          if (name != verb.name && name != "id" &&
+              std::none_of(std::begin(verb.fields), std::end(verb.fields),
+                           [&](const Field& f) { return f.name && name == f.name; }))
+            return error_response(id_field, "unknown request field: " + name);
+        }
+        for (const Field& f : verb.fields) {
+          if (f.lo > f.hi) continue;
+          if (const json::Value* x = v.find(f.name)) (void)x->as<std::int64_t>(f.name, f.lo, f.hi);
+        }
+        return (this->*verb.handle)(fd, v, *arg, id_field);
       }
-      if (v.find("stats")) {
-        std::string out = "{\"ok\":true";
-        out += id_field;
-        out += ",\"stats\":";
-        out += stats_body();
-        out.push_back('}');
-        return out;
-      }
-      if (v.find("ping")) return "{\"ok\":true" + id_field + ",\"pong\":true}";
-      if (v.find("shutdown")) {
-        // Reply first; request_stop only flips flags, so the response still
-        // flushes before this connection's read loop observes the drain.
-        request_stop();
-        return "{\"ok\":true" + id_field + ",\"draining\":true}";
-      }
-      return error_response(id_field,
-                            "unknown request (expected flow_request, search, search_cancel, "
-                            "search_refine, stats, ping or shutdown)");
+      std::string expected;
+      for (const Verb& verb : kVerbs)
+        expected += (expected.empty() ? "" : &verb == std::end(kVerbs) - 1 ? " or " : ", ") +
+                    std::string(verb.name);
+      return error_response(id_field, "unknown request (expected " + expected + ")");
     } catch (const std::exception& e) {
       return error_response(id_field, e.what());
     }
   }
 
-  std::string handle_flow(const json::Value& v, const json::Value& frv,
+  std::string handle_flow(int, const json::Value& v, const json::Value& frv,
                           const std::string& id_field) {
-    if (const std::string* f = unknown_field(
-            v, {"flow_request", "id", "priority", "deadline_ms", "after", "result"}))
-      return error_response(id_field, "unknown request field: " + *f);
-
     const FlowRequest req = request_from_value(frv);
     JobScheduler::SubmitOptions sopts;
     if (const json::Value* p = v.find("priority")) sopts.priority = p->as<int>("priority");
     if (const json::Value* d = v.find("deadline_ms")) {
-      sopts.deadline = std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(d->as<std::uint64_t>("deadline_ms"));
+      sopts.deadline = Clock::now() + std::chrono::milliseconds(d->as<int>("deadline_ms"));
     }
     if (const json::Value* a = v.find("after")) {
       if (a->kind != json::Value::Kind::Array)
@@ -430,8 +435,7 @@ struct Server::Impl {
     }
     const bool ok = status == JobTicket::Status::Done;
 
-    std::string out = ok ? "{\"ok\":true" : "{\"ok\":false";
-    out += id_field;
+    std::string out = reply(ok, id_field);
     json::member("status", status_str, out);
     json::member("cache", ticket.from_cache() ? "hit" : (ticket.coalesced() ? "coalesced" : "miss"),
                  out);
@@ -465,15 +469,13 @@ struct Server::Impl {
     out.push_back(']');
   }
 
-  std::string handle_search(int fd, const json::Value& v, const std::string& id_field) {
-    if (const std::string* f = unknown_field(v, {"search", "id", "deadline_ms"}))
-      return error_response(id_field, "unknown request field: " + *f);
-
+  std::string handle_search(int fd, const json::Value& v, const json::Value&,
+                            const std::string& id_field) {
     const dse::SearchSpec spec = dse::spec_from_value(v);  // throws -> handle_line
 
     Clock::time_point deadline{};
     if (const json::Value* d = v.find("deadline_ms")) {
-      deadline = Clock::now() + std::chrono::milliseconds(d->as<std::uint64_t>("deadline_ms"));
+      deadline = Clock::now() + std::chrono::milliseconds(d->as<int>("deadline_ms"));
     }
     if (opts.max_search_ms > 0) {
       const auto cap = Clock::now() + std::chrono::milliseconds(opts.max_search_ms);
@@ -505,7 +507,7 @@ struct Server::Impl {
       // under search_mu, where request_stop's cancel sweep also runs.
       if (stopping.load(std::memory_order_relaxed)) ctl->cancel();
       sid = next_search_id++;
-      active_searches.emplace(sid, ActiveSearch{spec.key(), ctl});
+      active_searches.emplace(sid, ctl);
     }
     n_searches.fetch_add(1, std::memory_order_relaxed);
 
@@ -514,19 +516,14 @@ struct Server::Impl {
     // failed send cancels the search: the peer is gone, stop paying.
     bool stream_ok = true;
     auto emit = [&](std::string body) {
-      if (!stream_ok) return;
-      body.push_back('\n');
-      if (!send_all(fd, body)) {
-        if (errno == EAGAIN || errno == EWOULDBLOCK)
-          n_timeouts.fetch_add(1, std::memory_order_relaxed);
+      if (stream_ok && !send_line(fd, std::move(body))) {
         stream_ok = false;
         ctl->cancel();
       }
     };
 
     {
-      std::string out = "{\"ok\":true";
-      out += id_field;
+      std::string out = reply(true, id_field);
       json::member("event", "search_started", out);
       json::member("search_id", sid, out);
       json::member("key", key_hex(spec.key()), out);
@@ -538,8 +535,7 @@ struct Server::Impl {
 
     dse::SearchCallbacks cbs;
     cbs.on_point = [&](const dse::PointEvent& ev) {
-      std::string out = "{\"ok\":true";
-      out += id_field;
+      std::string out = reply(true, id_field);
       json::member("event", "point_evaluated", out);
       json::member("search_id", sid, out);
       json::member("index", ev.index, out);
@@ -560,8 +556,7 @@ struct Server::Impl {
       emit(std::move(out));
     };
     cbs.on_front = [&](const dse::FrontEvent& ev) {
-      std::string out = "{\"ok\":true";
-      out += id_field;
+      std::string out = reply(true, id_field);
       json::member("event", "front_updated", out);
       json::member("search_id", sid, out);
       json::member("version", ev.version, out);
@@ -597,8 +592,7 @@ struct Server::Impl {
 
     if (!stream_ok) return std::string();  // peer gone: close the connection
 
-    std::string out = "{\"ok\":true";
-    out += id_field;
+    std::string out = reply(true, id_field);
     json::member("event", "search_done", out);
     json::member("search_id", sid, out);
     json::member("status", sum.status, out);
@@ -619,29 +613,24 @@ struct Server::Impl {
     return out;
   }
 
-  std::string handle_search_cancel(const json::Value& v, const json::Value& cv,
+  std::string handle_search_cancel(int, const json::Value&, const json::Value& cv,
                                    const std::string& id_field) {
-    if (const std::string* f = unknown_field(v, {"search_cancel", "id"}))
-      return error_response(id_field, "unknown request field: " + *f);
     const auto sid = cv.as<std::uint64_t>("search_cancel");
     {
       std::lock_guard<std::mutex> lk(search_mu);
       auto it = active_searches.find(sid);
       if (it == active_searches.end())
         return error_response(id_field, "unknown search id " + std::to_string(sid));
-      it->second.ctl->cancel();
+      it->second->cancel();
     }
-    std::string out = "{\"ok\":true";
-    out += id_field;
+    std::string out = reply(true, id_field);
     json::member("search_id", sid, out);
     out += ",\"cancelling\":true}";
     return out;
   }
 
-  std::string handle_search_refine(const json::Value& v, const json::Value& rv,
+  std::string handle_search_refine(int, const json::Value& v, const json::Value& rv,
                                    const std::string& id_field) {
-    if (const std::string* f = unknown_field(v, {"search_refine", "rounds", "id"}))
-      return error_response(id_field, "unknown request field: " + *f);
     const auto sid = rv.as<std::uint64_t>("search_refine");
     const json::Value* r = v.find("rounds");
     const int rounds = r != nullptr ? r->as<int>("rounds") : 1;
@@ -651,71 +640,122 @@ struct Server::Impl {
       auto it = active_searches.find(sid);
       if (it == active_searches.end())
         return error_response(id_field, "unknown search id " + std::to_string(sid));
-      it->second.ctl->add_refine_rounds(rounds);
+      it->second->add_refine_rounds(rounds);
     }
-    std::string out = "{\"ok\":true";
-    out += id_field;
+    std::string out = reply(true, id_field);
     json::member("search_id", sid, out);
     json::member("refine_rounds_added", rounds, out);
     out.push_back('}');
     return out;
   }
 
-  std::string stats_body() const {
-    const auto sched = scheduler->counters();
-    const auto cst = cache->stats();
-    const double uptime =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start_time).count();
-    std::string out = "{\"port\":";
-    json::append_i64(bound_port, out);
-    json::member("connections", n_connections.load(std::memory_order_relaxed), out);
-    json::member("requests", n_requests.load(std::memory_order_relaxed), out);
-    json::member("flow_requests", n_flow_requests.load(std::memory_order_relaxed), out);
-    json::member("protocol_errors", n_protocol_errors.load(std::memory_order_relaxed), out);
-    json::member("timeouts", n_timeouts.load(std::memory_order_relaxed), out);
-    json::member("oversize_rejections", n_oversize.load(std::memory_order_relaxed), out);
-    json::member("uptime_s", uptime, out);
+  std::string handle_ping(int, const json::Value&, const json::Value&,
+                          const std::string& id_field) {
+    return reply(true, id_field) + ",\"pong\":true}";
+  }
+
+  std::string handle_shutdown(int, const json::Value&, const json::Value&,
+                              const std::string& id_field) {
+    // Reply first; request_stop only flips flags, so the response still
+    // flushes before this connection's read loop observes the drain.
+    request_stop();
+    return reply(true, id_field) + ",\"draining\":true}";
+  }
+
+  /// The one read of every counter; the stats verb renders this snapshot.
+  Server::Stats snapshot() const {
+    Server::Stats s;
+    s.port = bound_port;
+    s.connections = n_connections.load(std::memory_order_relaxed);
+    s.requests = n_requests.load(std::memory_order_relaxed);
+    s.flow_requests = n_flow_requests.load(std::memory_order_relaxed);
+    s.protocol_errors = n_protocol_errors.load(std::memory_order_relaxed);
+    s.timeouts = n_timeouts.load(std::memory_order_relaxed);
+    s.oversize_rejections = n_oversize.load(std::memory_order_relaxed);
+    s.dse.searches = n_searches.load(std::memory_order_relaxed);
+    s.dse.completed = n_search_done.load(std::memory_order_relaxed);
+    s.dse.cancelled = n_search_cancelled.load(std::memory_order_relaxed);
+    s.dse.expired = n_search_expired.load(std::memory_order_relaxed);
+    s.dse.rejected = n_search_rejected.load(std::memory_order_relaxed);
+    s.dse.active = active_search_count();
+    s.dse.points_evaluated = n_search_points.load(std::memory_order_relaxed);
+    s.dse.front_updates = n_front_updates.load(std::memory_order_relaxed);
+    s.dse.cache_assisted_points = n_search_cache_assisted.load(std::memory_order_relaxed);
+    if (scheduler) {
+      s.scheduler = scheduler->counters();
+      s.scheduler_pending = scheduler->pending();
+    }
+    if (cache) s.cache = cache->stats();
+    s.stage_cache = core::stage::stage_cache_stats();
+    s.uptime_s = std::chrono::duration<double>(Clock::now() - start_time).count();
+    return s;
+  }
+
+  std::string handle_stats(int, const json::Value&, const json::Value&,
+                           const std::string& id_field) {
+    const Server::Stats s = snapshot();
+    std::string out = reply(true, id_field);
+    out += ",\"stats\":{\"port\":";
+    json::append_i64(s.port, out);
+    json::member("connections", s.connections, out);
+    json::member("requests", s.requests, out);
+    json::member("flow_requests", s.flow_requests, out);
+    json::member("protocol_errors", s.protocol_errors, out);
+    json::member("timeouts", s.timeouts, out);
+    json::member("oversize_rejections", s.oversize_rejections, out);
+    json::member("uptime_s", s.uptime_s, out);
     out += ",\"dse\":{\"searches\":";
-    json::append_u64(n_searches.load(std::memory_order_relaxed), out);
-    json::member("completed", n_search_done.load(std::memory_order_relaxed), out);
-    json::member("cancelled", n_search_cancelled.load(std::memory_order_relaxed), out);
-    json::member("expired", n_search_expired.load(std::memory_order_relaxed), out);
-    json::member("rejected", n_search_rejected.load(std::memory_order_relaxed), out);
-    json::member("active", active_search_count(), out);
-    json::member("points_evaluated", n_search_points.load(std::memory_order_relaxed), out);
-    json::member("front_updates", n_front_updates.load(std::memory_order_relaxed), out);
-    json::member("cache_assisted_points",
-                 n_search_cache_assisted.load(std::memory_order_relaxed), out);
+    json::append_u64(s.dse.searches, out);
+    json::member("completed", s.dse.completed, out);
+    json::member("cancelled", s.dse.cancelled, out);
+    json::member("expired", s.dse.expired, out);
+    json::member("rejected", s.dse.rejected, out);
+    json::member("active", s.dse.active, out);
+    json::member("points_evaluated", s.dse.points_evaluated, out);
+    json::member("front_updates", s.dse.front_updates, out);
+    json::member("cache_assisted_points", s.dse.cache_assisted_points, out);
     out += "},\"scheduler\":{\"pending\":";
-    json::append_u64(scheduler->pending(), out);
-    json::member("submitted", sched.submitted, out);
-    json::member("cache_hits", sched.cache_hits, out);
-    json::member("coalesced", sched.coalesced, out);
-    json::member("executed", sched.executed, out);
-    json::member("failed", sched.failed, out);
-    json::member("cancelled", sched.cancelled, out);
-    json::member("expired", sched.expired, out);
-    json::member("stage_hits", sched.stage_hits, out);
-    json::member("stage_misses", sched.stage_misses, out);
+    json::append_u64(s.scheduler_pending, out);
+    json::member("submitted", s.scheduler.submitted, out);
+    json::member("cache_hits", s.scheduler.cache_hits, out);
+    json::member("coalesced", s.scheduler.coalesced, out);
+    json::member("executed", s.scheduler.executed, out);
+    json::member("failed", s.scheduler.failed, out);
+    json::member("cancelled", s.scheduler.cancelled, out);
+    json::member("expired", s.scheduler.expired, out);
+    json::member("stage_hits", s.scheduler.stage_hits, out);
+    json::member("stage_misses", s.scheduler.stage_misses, out);
     out += "},\"cache\":{\"hits\":";
-    json::append_u64(cst.hits, out);
-    json::member("disk_hits", cst.disk_hits, out);
-    json::member("misses", cst.misses, out);
-    json::member("insertions", cst.insertions, out);
-    json::member("evictions", cst.evictions, out);
-    json::member("disk_writes", cst.disk_writes, out);
-    json::member("disk_errors", cst.disk_errors, out);
-    json::member("entries", cst.entries, out);
-    out.push_back('}');
-    out += ",\"stage_cache\":";
-    out += core::stage::stage_cache_stats_json();
+    json::append_u64(s.cache.hits, out);
+    json::member("disk_hits", s.cache.disk_hits, out);
+    json::member("misses", s.cache.misses, out);
+    json::member("insertions", s.cache.insertions, out);
+    json::member("evictions", s.cache.evictions, out);
+    json::member("disk_writes", s.cache.disk_writes, out);
+    json::member("disk_errors", s.cache.disk_errors, out);
+    json::member("entries", s.cache.entries, out);
+    out += "},\"stage_cache\":";
+    out += core::stage::stage_cache_stats_json(s.stage_cache);
     if (fault::enabled()) {
       out += ",\"faults\":";
       out += fault::counters_json();
     }
-    out.push_back('}');
+    out += "}}";
     return out;
   }
+};
+
+/// The verb table: the one place a verb and the fields it takes are named.
+/// Rows are in dispatch precedence order.
+const Server::Impl::Verb Server::Impl::kVerbs[7] = {
+    {"flow_request", {{"priority"}, {"deadline_ms", 0, kIntMax}, {"after"}, {"result"}},
+     &Impl::handle_flow},
+    {"search", {{"deadline_ms", 0, kIntMax}}, &Impl::handle_search},
+    {"search_cancel", {}, &Impl::handle_search_cancel},
+    {"search_refine", {{"rounds"}}, &Impl::handle_search_refine},
+    {"stats", {}, &Impl::handle_stats},
+    {"ping", {}, &Impl::handle_ping},
+    {"shutdown", {}, &Impl::handle_shutdown},
 };
 
 Server::Server(const ServerOptions& opts) : impl_(std::make_unique<Impl>()) {
@@ -740,34 +780,21 @@ bool Server::start(std::string* err) {
     if (err) *err = "server already started";
     return false;
   }
-  if (::pipe(im.stop_pipe) != 0) {
-    if (err) *err = errno_str("pipe");
+  const auto fail = [&](const char* what) {
+    if (err) *err = errno_str(what);
+    if (im.listen_fd >= 0) ::close(im.listen_fd);
+    im.listen_fd = -1;
     return false;
-  }
+  };
+  if (::pipe(im.stop_pipe) != 0) return fail("pipe");
   im.listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (im.listen_fd < 0) {
-    if (err) *err = errno_str("socket");
-    return false;
-  }
+  if (im.listen_fd < 0) return fail("socket");
   int one = 1;
   ::setsockopt(im.listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof addr);
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(im.opts.port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  if (::bind(im.listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    if (err) *err = errno_str("bind");
-    ::close(im.listen_fd);
-    im.listen_fd = -1;
-    return false;
-  }
-  if (::listen(im.listen_fd, im.opts.accept_backlog) != 0) {
-    if (err) *err = errno_str("listen");
-    ::close(im.listen_fd);
-    im.listen_fd = -1;
-    return false;
-  }
+  sockaddr_in addr = loopback(im.opts.port);
+  if (::bind(im.listen_fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0)
+    return fail("bind");
+  if (::listen(im.listen_fd, im.opts.accept_backlog) != 0) return fail("listen");
   socklen_t alen = sizeof addr;
   if (::getsockname(im.listen_fd, reinterpret_cast<sockaddr*>(&addr), &alen) == 0)
     im.bound_port = ntohs(addr.sin_port);
@@ -826,35 +853,7 @@ void Server::wait() {
   im.wait_cv.notify_all();
 }
 
-Server::Stats Server::stats() const {
-  Stats s;
-  s.port = impl_->bound_port;
-  s.connections = impl_->n_connections.load(std::memory_order_relaxed);
-  s.requests = impl_->n_requests.load(std::memory_order_relaxed);
-  s.flow_requests = impl_->n_flow_requests.load(std::memory_order_relaxed);
-  s.protocol_errors = impl_->n_protocol_errors.load(std::memory_order_relaxed);
-  s.timeouts = impl_->n_timeouts.load(std::memory_order_relaxed);
-  s.oversize_rejections = impl_->n_oversize.load(std::memory_order_relaxed);
-  s.dse.searches = impl_->n_searches.load(std::memory_order_relaxed);
-  s.dse.completed = impl_->n_search_done.load(std::memory_order_relaxed);
-  s.dse.cancelled = impl_->n_search_cancelled.load(std::memory_order_relaxed);
-  s.dse.expired = impl_->n_search_expired.load(std::memory_order_relaxed);
-  s.dse.rejected = impl_->n_search_rejected.load(std::memory_order_relaxed);
-  s.dse.active = impl_->active_search_count();
-  s.dse.points_evaluated = impl_->n_search_points.load(std::memory_order_relaxed);
-  s.dse.front_updates = impl_->n_front_updates.load(std::memory_order_relaxed);
-  s.dse.cache_assisted_points = impl_->n_search_cache_assisted.load(std::memory_order_relaxed);
-  if (impl_->scheduler) {
-    s.scheduler = impl_->scheduler->counters();
-    s.scheduler_pending = impl_->scheduler->pending();
-  }
-  if (impl_->cache) s.cache = impl_->cache->stats();
-  s.stage_cache = core::stage::stage_cache_stats();
-  s.uptime_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - impl_->start_time)
-          .count();
-  return s;
-}
+Server::Stats Server::stats() const { return impl_->snapshot(); }
 
 // ---------------------------------------------------------------------------
 // run_daemon
@@ -881,8 +880,7 @@ int run_daemon(const ServerOptions& opts) {
     std::fprintf(stderr, "giad: %s\n", errno_str("pipe").c_str());
     return 1;
   }
-  struct sigaction sa;
-  std::memset(&sa, 0, sizeof sa);
+  struct sigaction sa {};
   sa.sa_handler = on_signal;
   sigemptyset(&sa.sa_mask);
   ::sigaction(SIGINT, &sa, nullptr);
@@ -912,14 +910,10 @@ int run_daemon(const ServerOptions& opts) {
   g_sig_pipe[0] = g_sig_pipe[1] = -1;
 
   const Server::Stats st = server.stats();
-  std::printf(
-      "giad: drained cleanly after %llu requests (%llu flow, %llu hits, %llu coalesced, "
-      "%llu executed)\n",
-      static_cast<unsigned long long>(st.requests),
-      static_cast<unsigned long long>(st.flow_requests),
-      static_cast<unsigned long long>(st.scheduler.cache_hits),
-      static_cast<unsigned long long>(st.scheduler.coalesced),
-      static_cast<unsigned long long>(st.scheduler.executed));
+  std::printf("giad: drained cleanly after %" PRIu64 " requests (%" PRIu64 " flow, %" PRIu64
+              " hits, %" PRIu64 " coalesced, %" PRIu64 " executed)\n",
+              st.requests, st.flow_requests, st.scheduler.cache_hits, st.scheduler.coalesced,
+              st.scheduler.executed);
   std::fflush(stdout);
   return 0;
 }
@@ -930,63 +924,82 @@ int run_daemon(const ServerOptions& opts) {
 namespace {
 
 /// Setter for one numeric ServerOptions field (the value is range-checked
-/// against the field's type before the call).
-template <typename T>
-std::function<void(long long)> assign(T* field) {
-  return [field](long long v) { *field = static_cast<T>(v); };
+/// against the flag's row before the call).
+template <auto Member>
+void assign(ServerOptions& o, long long v) {
+  o.*Member = static_cast<std::remove_reference_t<decltype(o.*Member)>>(v);
 }
+
+/// The server flags in usage order. A row without a setter takes text.
+const struct {
+  const char* flag;
+  long long min, max;
+  void (*set)(ServerOptions&, long long);
+} kServerFlags[] = {
+    {"--port", 0, 65535, assign<&ServerOptions::port>},
+    {"--workers", 1, kIntMax, assign<&ServerOptions::scheduler_workers>},
+    {"--conn-workers", 1, kIntMax, assign<&ServerOptions::connection_workers>},
+    {"--cache-capacity", 1, kAnyMax, assign<&ServerOptions::cache_capacity>},
+    {"--cache-dir", 0, 0, nullptr},
+    {"--idle-timeout-ms", 0, kIntMax, assign<&ServerOptions::idle_timeout_ms>},
+    {"--io-timeout-ms", 0, kIntMax, assign<&ServerOptions::io_timeout_ms>},
+    {"--max-conn-ms", 0, kIntMax, assign<&ServerOptions::max_connection_ms>},
+    {"--max-line-bytes", 1, kAnyMax, assign<&ServerOptions::max_line_bytes>},
+    {"--max-search-points", 0, kAnyMax, assign<&ServerOptions::max_search_points>},
+    {"--max-active-searches", 0, kIntMax, assign<&ServerOptions::max_active_searches>},
+    {"--max-search-ms", 0, kIntMax, assign<&ServerOptions::max_search_ms>},
+};
 
 }  // namespace
 
+bool parse_int_arg(const std::string& name, const char* text, long long min, long long max,
+                   long long* out, std::string* err) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(text, &end, 10);
+  if (end != text && *end == '\0' && errno != ERANGE && v >= min && v <= max) {
+    *out = v;
+    return true;
+  }
+  if (err)
+    *err = name + " expects an integer " +
+           (max < kAnyMax ? "in [" + std::to_string(min) + ", " + std::to_string(max) + "]"
+                          : ">= " + std::to_string(min)) +
+           ", got '" + text + "'";
+  return false;
+}
+
 bool parse_server_args(int argc, const char* const* argv, ServerOptions* opts,
                        std::string* err) {
-  constexpr long long kIntMax = std::numeric_limits<int>::max();
-  constexpr long long kAnyMax = std::numeric_limits<long long>::max();
-  const struct {
-    const char* flag;
-    long long min, max;
-    std::function<void(long long)> set;
-  } kNumeric[] = {
-      {"--port", 0, 65535, assign(&opts->port)},
-      {"--workers", 1, kIntMax, assign(&opts->scheduler_workers)},
-      {"--conn-workers", 1, kIntMax, assign(&opts->connection_workers)},
-      {"--cache-capacity", 1, kAnyMax, assign(&opts->cache_capacity)},
-      {"--idle-timeout-ms", 0, kIntMax, assign(&opts->idle_timeout_ms)},
-      {"--io-timeout-ms", 0, kIntMax, assign(&opts->io_timeout_ms)},
-      {"--max-conn-ms", 0, kIntMax, assign(&opts->max_connection_ms)},
-      {"--max-line-bytes", 1, kAnyMax, assign(&opts->max_line_bytes)},
-      {"--max-search-points", 0, kAnyMax, assign(&opts->max_search_points)},
-      {"--max-active-searches", 0, kIntMax, assign(&opts->max_active_searches)},
-      {"--max-search-ms", 0, kIntMax, assign(&opts->max_search_ms)},
-  };
   const auto fail = [&](std::string msg) {
     if (err) *err = std::move(msg);
     return false;
   };
   for (int i = 0; i < argc; ++i) {
     const std::string flag = argv[i];
-    const auto* num = std::find_if(std::begin(kNumeric), std::end(kNumeric),
+    const auto* row = std::find_if(std::begin(kServerFlags), std::end(kServerFlags),
                                    [&](const auto& f) { return flag == f.flag; });
-    if (num == std::end(kNumeric) && flag != "--cache-dir") return fail("unknown option " + flag);
+    if (row == std::end(kServerFlags)) return fail("unknown option " + flag);
     if (i + 1 >= argc) return fail(flag + " expects a value");
     const char* text = argv[++i];
-    if (num == std::end(kNumeric)) {
+    long long v = 0;
+    if (row->set == nullptr)
       opts->cache_dir = text;
-      continue;
-    }
-    errno = 0;
-    char* end = nullptr;
-    const long long v = std::strtoll(text, &end, 10);
-    if (end == text || *end != '\0' || errno == ERANGE || v < num->min || v > num->max) {
-      const std::string range =
-          num->max < kIntMax
-              ? "in [" + std::to_string(num->min) + ", " + std::to_string(num->max) + "]"
-              : ">= " + std::to_string(num->min);
-      return fail(flag + " expects an integer " + range + ", got '" + text + "'");
-    }
-    num->set(v);
+    else if (parse_int_arg(flag, text, row->min, row->max, &v, err))
+      row->set(*opts, v);
+    else
+      return false;
   }
   return true;
+}
+
+std::string server_args_usage(std::size_t indent) {
+  std::string out;
+  for (std::size_t i = 0; i < std::size(kServerFlags); ++i) {
+    if (i > 0) out += i % 3 == 0 ? "\n" + std::string(indent, ' ') : " ";
+    out += std::string("[") + kServerFlags[i].flag + (kServerFlags[i].set ? " N]" : " DIR]");
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -1004,51 +1017,34 @@ void Client::close() {
 
 bool Client::connect(int port, std::string* err) {
   close();
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof addr);
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(static_cast<std::uint16_t>(port));
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (fd_ < 0) {
-    if (err) *err = errno_str("socket");
-    return false;
-  }
-
-  if (opts_.connect_timeout_ms > 0) {
-    // Non-blocking connect bounded by poll: a black-holed SYN fails with
-    // "connect timeout" instead of hanging for the kernel's default.
-    const int flags = ::fcntl(fd_, F_GETFL, 0);
-    ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
-    const int rc = ::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr);
-    if (rc != 0 && errno != EINPROGRESS) {
-      if (err) *err = errno_str("connect");
-      close();
-      return false;
-    }
-    if (rc != 0) {
-      struct pollfd p = {fd_, POLLOUT, 0};
-      int pr;
-      while ((pr = ::poll(&p, 1, opts_.connect_timeout_ms)) < 0 && errno == EINTR) {
-      }
-      int so_err = 0;
-      socklen_t so_len = sizeof so_err;
-      if (pr > 0) ::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &so_err, &so_len);
-      if (pr <= 0 || so_err != 0) {
-        if (err) {
-          errno = so_err;
-          *err = pr <= 0 ? "connect timeout" : errno_str("connect");
-        }
-        close();
-        return false;
-      }
-    }
-    ::fcntl(fd_, F_SETFL, flags);
-  } else if (::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
-    if (err) *err = errno_str("connect");
+  const auto fail = [&](std::string msg) {
+    if (err) *err = std::move(msg);
     close();
     return false;
+  };
+  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd_ < 0) return fail(errno_str("socket"));
+  // Non-blocking connect bounded by poll: a black-holed SYN fails with
+  // "connect timeout" instead of hanging for the kernel's default
+  // (connect_timeout_ms 0 waits as long as the kernel does).
+  const int flags = ::fcntl(fd_, F_GETFL, 0);
+  ::fcntl(fd_, F_SETFL, flags | O_NONBLOCK);
+  const sockaddr_in addr = loopback(port);
+  if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof addr) != 0) {
+    if (errno != EINPROGRESS) return fail(errno_str("connect"));
+    struct pollfd p = {fd_, POLLOUT, 0};
+    const int wait_ms = opts_.connect_timeout_ms > 0 ? opts_.connect_timeout_ms : -1;
+    int pr;
+    while ((pr = ::poll(&p, 1, wait_ms)) < 0 && errno == EINTR) {
+    }
+    if (pr <= 0) return fail("connect timeout");
+    int so_err = 0;
+    socklen_t so_len = sizeof so_err;
+    ::getsockopt(fd_, SOL_SOCKET, SO_ERROR, &so_err, &so_len);
+    errno = so_err;
+    if (so_err != 0) return fail(errno_str("connect"));
   }
+  ::fcntl(fd_, F_SETFL, flags);
   set_io_timeouts(fd_, opts_.io_timeout_ms);
   return true;
 }

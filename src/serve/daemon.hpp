@@ -20,9 +20,8 @@
 ///   {"ping":true}     -> {"ok":true,"pong":true}
 ///   {"shutdown":true} -> {"ok":true,"draining":true}  (then graceful drain)
 ///
-/// The `search` verb is the one streaming exception to one-line-in /
-/// one-line-out: it runs a dse:: Pareto search (dse/search.hpp) and streams
-/// NDJSON progress events over the same connection --
+/// The `search` verb is the one streaming exception: it runs a dse:: Pareto
+/// search (dse/search.hpp) and streams NDJSON progress events --
 ///
 ///   {"search":{"space":{...},...}, "id":7, "deadline_ms":60000}
 ///     -> {"ok":true,"id":7,"event":"search_started","search_id":1,...}
@@ -31,20 +30,24 @@
 ///        {"ok":true,"id":7,"event":"search_done","status":"done",...}
 ///
 /// while `{"search_cancel":1}` and `{"search_refine":1,"rounds":2}` (from
-/// any connection) cancel or extend a running search by its search_id;
-/// cancellation cascades through the scheduler's cancellation machinery and
-/// the stream ends with a "cancelled" search_done. Searches are bounded by
+/// any connection) cancel or extend a running search by its search_id; the
+/// stream then ends with a "cancelled" search_done. Searches are bounded by
 /// max_search_points / max_active_searches / max_search_ms below.
 ///
-/// Architecture: a bounded accept/worker model. One accept thread polls the
-/// listening socket and hands accepted connections to a fixed pool of
-/// connection workers over a bounded queue (backpressure: the accept thread
-/// stalls when the queue is full). Each connection worker serves one
-/// connection at a time, dispatching flow requests into the shared
-/// `JobScheduler` (which coalesces duplicates and consults the
-/// `ResultCache`). Graceful drain on SIGINT/SIGTERM (`run_daemon`) or the
-/// shutdown verb: stop accepting, half-close idle connections, let
-/// in-flight requests finish, drain the scheduler, exit 0.
+/// The verb table (`kVerbs` in daemon.cpp) is the one place a verb and its
+/// fields are defined: each row names a verb, the fields it takes besides
+/// `id` (integers with their inclusive range, e.g. `deadline_ms` in
+/// [0, 2147483647]) and its handler. The first row whose verb a line names
+/// answers it; any other field, a second verb included, is an unknown
+/// request field. Every line back opens with `{"ok":true|false` and the id.
+///
+/// Architecture: one accept thread hands connections to a fixed pool of
+/// connection workers over a bounded queue (the accept thread stalls when
+/// it is full). Each worker serves one connection at a time, dispatching
+/// flow requests into the shared `JobScheduler` (which coalesces duplicates
+/// and consults the `ResultCache`). Graceful drain on SIGINT/SIGTERM
+/// (`run_daemon`) or the shutdown verb: stop accepting, half-close idle
+/// connections, let in-flight requests finish, drain the scheduler, exit 0.
 
 namespace gia::serve {
 
@@ -159,16 +162,22 @@ class Server {
 /// returns the process exit code.
 int run_daemon(const ServerOptions& opts);
 
-/// The server flags shared by `giad` and `giaflow serve`, applied on top of
-/// `*opts`: --port --workers --conn-workers --cache-capacity --cache-dir
-/// --idle-timeout-ms --io-timeout-ms --max-conn-ms --max-line-bytes
-/// --max-search-points --max-active-searches --max-search-ms. Every flag
-/// takes a value; numbers must be whole decimal tokens within the field's
-/// range ("--port abc" is an error, not an ephemeral port). Returns false
-/// with `*err` naming the offending flag on an unknown flag, a missing
-/// value, or a malformed number.
+/// The server flags shared by `giad` and `giaflow serve` (one per
+/// ServerOptions field), applied on top of `*opts`. Every flag takes a
+/// value; numbers follow `parse_int_arg` within the field's range ("--port
+/// abc" is an error, not an ephemeral port). Returns false with `*err`
+/// naming the flag on an unknown flag, a missing value or a bad number.
 bool parse_server_args(int argc, const char* const* argv, ServerOptions* opts,
                        std::string* err = nullptr);
+/// Those flags as usage text ("[--port N] [--workers N] ..."), three to a
+/// line; continuation lines are indented by `indent` spaces.
+std::string server_args_usage(std::size_t indent);
+
+/// The rule for every integer `giad` and `giaflow` read from a command
+/// line: the whole of `text` is a decimal integer in [min, max]. Otherwise
+/// returns false with `*err` naming `name`, the range and the text.
+bool parse_int_arg(const std::string& name, const char* text, long long min, long long max,
+                   long long* out, std::string* err = nullptr);
 
 /// Minimal blocking NDJSON client for giaflow/bench/CI. Every socket op is
 /// bounded (connect timeout, per-op SO_RCVTIMEO/SO_SNDTIMEO, response-size

@@ -570,6 +570,7 @@ TEST(DaemonRobustnessTest, EveryRejectionIsAccountedInStats) {
 // "priority":1.5 and "after":[1.5] truncated to 1, and "rounds":1e2 read as
 // 1. Each is now a checked read whose error names the field.
 TEST(DaemonRobustnessTest, VerbFieldsAreCheckedScalars) {
+  const char* const kDeadlineRange = "deadline_ms must be an integer in [0, 2147483647]";
   serve::ServerOptions o = tight_options();
   o.idle_timeout_ms = 30000;
   DaemonFixture d(o);
@@ -596,6 +597,16 @@ TEST(DaemonRobustnessTest, VerbFieldsAreCheckedScalars) {
       {R"({"stats":true,"bogus":1})", "unknown request field: bogus"},
       {R"({"shutdown":true,"bogus":1})", "unknown request field: bogus"},
       {R"({"ping":true,"shutdown":true})", "unknown request field"},
+      // deadline_ms is read in [0, 2147483647]: a larger value once
+      // overflowed the deadline arithmetic (a wrapped deadline expired the
+      // request at once instead of running it).
+      {R"({"flow_request":{},"deadline_ms":2147483648})", kDeadlineRange},
+      {R"({"flow_request":{},"deadline_ms":9223372036854775807})", kDeadlineRange},
+      {R"({"flow_request":{},"deadline_ms":18446744073709551615})", kDeadlineRange},
+      {R"({"search":{"space":{"tech":["glass25d"]}},"deadline_ms":9223372036854775807})",
+       kDeadlineRange},
+      {R"({"search":{"space":{"tech":["glass25d"]}},"deadline_ms":18446744073709551615})",
+       kDeadlineRange},
   };
   serve::Client client;
   std::string resp, err;
