@@ -43,7 +43,7 @@ constexpr struct {
 };
 
 /// Set a flow flag's knob from its text: a token as spelled, a number only
-/// when the whole text parses (atoi would map a typo to 0). Ranges are
+/// by `serve::parse_double_arg` (atoi would map a typo to 0). Ranges are
 /// checked by the flow's stages, which throw out of the run.
 bool set_flow_flag(const char* knob, const char* text, tech::TechnologyKind* kind,
                    core::FlowOptions* opts) {
@@ -52,9 +52,13 @@ bool set_flow_flag(const char* knob, const char* text, tech::TechnologyKind* kin
       core::knobs::set(*kind, *opts, knob, std::string(text));
       return true;
     }
-    char* end = nullptr;
-    const double v = std::strtod(text, &end);
-    if (end == text || *end != '\0') throw std::invalid_argument("not a number");
+    double v = 0;
+    std::string err;
+    if (!serve::parse_double_arg(knob, text, std::numeric_limits<double>::lowest(),
+                                 std::numeric_limits<double>::max(), &v, &err)) {
+      std::fprintf(stderr, "giaflow flow: %s\n", err.c_str());
+      return false;
+    }
     core::knobs::set(*kind, *opts, knob, v);
     return true;
   } catch (const std::invalid_argument& e) {
@@ -101,6 +105,14 @@ int usage() {
 bool int_arg(const char* name, const char* text, long long min, long long max, long long* out) {
   std::string err;
   if (serve::parse_int_arg(name, text, min, max, out, &err)) return true;
+  std::fprintf(stderr, "giaflow: %s\n", err.c_str());
+  return false;
+}
+
+/// The same for a real number: the whole text, finite, in [min, max].
+bool double_arg(const char* name, const char* text, double min, double max, double* out) {
+  std::string err;
+  if (serve::parse_double_arg(name, text, min, max, out, &err)) return true;
   std::fprintf(stderr, "giaflow: %s\n", err.c_str());
   return false;
 }
@@ -263,6 +275,7 @@ int main(int argc, char** argv) {
   int rc = -1;
   // The daemon peers below take its port first.
   long long port = 0, id = 0, rounds = 1;
+  double len_um = 0, gbps = 0;
   const auto port_arg = [&] { return int_arg("<port>", args[1], 1, 65535, &port); };
 
   if (cmd == "flow" && n >= 2 && tech::parse_kind(args[1], &kind)) {
@@ -318,12 +331,14 @@ int main(int argc, char** argv) {
     std::printf("wrote %s (%.2f x %.2f mm, %zu nets)\n", args[2], design.footprint_w_mm(),
                 design.footprint_h_mm(), design.routes.nets.size());
     rc = 0;
-  } else if (cmd == "eye" && n == 4 && tech::parse_kind(args[1], &kind)) {
-    auto spec = core::make_fixed_line_spec(tech::make_technology(kind), std::atof(args[2]));
-    spec.bit_rate_hz = std::atof(args[3]) * 1e9;
+  } else if (cmd == "eye" && n == 4 && tech::parse_kind(args[1], &kind) &&
+             double_arg("<len_um>", args[2], 1, 1e5, &len_um) &&
+             double_arg("<gbps>", args[3], 0.01, 100, &gbps)) {
+    auto spec = core::make_fixed_line_spec(tech::make_technology(kind), len_um);
+    spec.bit_rate_hz = gbps * 1e9;
     const auto eye = signal::simulate_eye(spec, 96);
     std::printf("%s %.0f um @ %.2f Gbps: eye %.3f ns x %.3f V (%.0f%% of UI)\n",
-                tech::to_string(kind), std::atof(args[2]), std::atof(args[3]),
+                tech::to_string(kind), len_um, gbps,
                 eye.width_s * 1e9, eye.height_v, 100 * eye.width_ratio());
     rc = 0;
   } else if (cmd == "cost" && n == 1) {

@@ -22,20 +22,10 @@ namespace {
 constexpr int kNumCounters = static_cast<int>(Counter::kCount);
 
 constexpr const char* kCounterNames[kNumCounters] = {
-    "sor_iterations",        "thermal_transient_steps",
-    "lu_factorizations",     "lu_solves",
-    "transient_steps",       "ac_points",
-    "mc_trials",             "prbs_segments",
-    "eye_uis",               "sweep_points",
-    "flow_runs",             "serve_requests",
-    "cache_hits",            "cache_misses",
-    "cache_coalesced",       "stage_runs",
-    "stage_cache_hits",      "stage_cache_misses",
-    "krylov_iterations",     "mg_vcycles",
-    "dse_points_evaluated",  "dse_front_updates",
-    "dse_cache_assisted_points", "router_expansions",
-    "router_reroutes",       "placer_moves",
-    "placer_accepts",
+    "sor_iterations",    "lu_factorizations", "lu_solves",         "transient_steps",
+    "ac_points",         "mc_trials",         "eye_uis",           "flow_runs",
+    "stage_runs",        "krylov_iterations", "mg_vcycles",        "router_expansions",
+    "router_reroutes",   "placer_moves",      "placer_accepts",
 };
 
 struct SpanNode {

@@ -41,29 +41,16 @@ void reset();
 /// strings so `counter_add` is a branch + one relaxed fetch_add.
 enum class Counter : int {
   SorIterations = 0,      ///< thermal steady-state SOR iterations to convergence
-  ThermalTransientSteps,  ///< explicit transient thermal time steps
   LuFactorizations,       ///< dense LU factorisations (real + complex)
   LuSolves,               ///< dense LU triangular solves
   TransientSteps,         ///< MNA transient time steps accepted
   AcPoints,               ///< AC analysis frequency points solved
   McTrials,               ///< Monte Carlo variation trials
-  PrbsSegments,           ///< PRBS eye-ensemble segments simulated
   EyeUis,                 ///< unit intervals sampled by the eye fold
-  SweepPoints,            ///< design points evaluated by sweep_1d
   FlowRuns,               ///< full co-design flow invocations
-  ServeRequests,          ///< flow requests handled by the serving layer
-  CacheHits,              ///< serving-cache lookups answered from memory/disk
-  CacheMisses,            ///< serving-cache lookups that required a flow run
-  CacheCoalesced,         ///< duplicate in-flight requests attached to one run
   StageRuns,              ///< flow stage bodies executed (stage-cache misses run)
-  StageCacheHits,         ///< stage artifacts served from the stage cache
-  StageCacheMisses,       ///< stage lookups that had to run the stage body
   KrylovIterations,       ///< CG/BiCGSTAB iterations across all sparse solves
   MgVcycles,              ///< thermal geometric-multigrid V-cycles
-  DsePointsEvaluated,     ///< design points evaluated by dse:: searches
-  DseFrontUpdates,        ///< Pareto-front versions published by dse:: searches
-  DseCacheAssistedPoints, ///< dse points served with result-cache / coalesce /
-                          ///  resident-stage-artifact help
   RouterExpansions,       ///< A* nodes expanded by the interposer grid router
   RouterReroutes,         ///< nets ripped up and rerouted (or layer-rebalanced)
   PlacerMoves,            ///< simulated-annealing moves tried by the cluster placer

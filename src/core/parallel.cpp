@@ -316,17 +316,6 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn) {
   if (const std::exception_ptr e = std::move(job->eptr)) std::rethrow_exception(e);
 }
 
-void parallel_for_chunked(std::size_t n, std::size_t grain,
-                          const std::function<void(std::size_t, std::size_t)>& fn) {
-  if (n == 0) return;
-  grain = std::max<std::size_t>(1, grain);
-  const std::size_t n_chunks = (n + grain - 1) / grain;
-  parallel_for(n_chunks, [&](std::size_t c) {
-    const std::size_t begin = c * grain;
-    fn(begin, std::min(n, begin + grain));
-  });
-}
-
 void run_dag(std::size_t n, const std::vector<std::vector<std::size_t>>& deps,
              const std::function<void(std::size_t)>& fn) {
   if (deps.size() != n) throw std::invalid_argument("run_dag: deps.size() != n");

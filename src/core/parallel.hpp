@@ -8,8 +8,7 @@
 /// \file parallel.hpp
 /// Dependency-free parallel execution layer: a lazily-started std::thread
 /// pool exposed through `parallel_for` (fixed-size chunks of an index
-/// range), `parallel_for_chunked` (caller-visible fixed chunk grid),
-/// `ordered_reduce` (per-chunk partials combined in chunk order), and
+/// range), `ordered_reduce` (per-chunk partials combined in chunk order), and
 /// `run_dag` (dependency-driven execution of a small task graph).
 ///
 /// Determinism contract: every helper produces byte-identical results at
@@ -52,13 +51,6 @@ void set_thread_count(int n);
 /// throws, at any thread count. `fn` must be safe to call concurrently and
 /// must only write state owned by its index.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-/// Invoke `fn(begin, end)` over the fixed chunk grid of [0, n) with chunks
-/// of `grain` indices (last chunk may be short). The grid depends only on
-/// `grain`, never on the thread count, so per-chunk accumulation is
-/// reproducible.
-void parallel_for_chunked(std::size_t n, std::size_t grain,
-                          const std::function<void(std::size_t, std::size_t)>& fn);
 
 /// Run the nodes of a dependency graph: `fn(i)` for every i in [0, n),
 /// where node i starts as soon as every node listed in `deps[i]` has

@@ -90,9 +90,8 @@ std::array<std::string, kStageCount> stage_knob_texts(const FlowOptions& o) {
 
 // --- Process-wide stage-artifact cache: a ContentCache of type-erased
 // artifact pointers tagged by stage, so evictions count per stage.
-// Counters are always live (the serving layer reports them with tracing
-// off); the instrument-layer counters are additionally fed when tracing is
-// on.
+// Counters are always live: the serving layer reports them with tracing
+// off.
 
 using ArtifactPtr = std::shared_ptr<const void>;
 
@@ -132,19 +131,16 @@ class StageCache {
         key, idx(id),
         [&] {
           count(misses_, id);
-          instrument::counter_add(instrument::Counter::StageCacheMisses);
           return compute();
         },
         &oc);
     switch (oc) {
       case Store::Outcome::Hit:
         count(hits_, id);
-        instrument::counter_add(instrument::Counter::StageCacheHits);
         *outcome = StageRunRecord::Outcome::CacheHit;
         break;
       case Store::Outcome::Coalesced:
         count(coalesced_, id);
-        instrument::counter_add(instrument::Counter::StageCacheHits);
         *outcome = StageRunRecord::Outcome::Coalesced;
         break;
       case Store::Outcome::Computed:

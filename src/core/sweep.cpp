@@ -1,11 +1,7 @@
 #include "core/sweep.hpp"
 
 #include <algorithm>
-#include <sstream>
 #include <stdexcept>
-
-#include "core/instrument.hpp"
-#include "core/parallel.hpp"
 
 namespace gia::core {
 
@@ -55,38 +51,6 @@ bool dominates(const DesignPoint& a, const DesignPoint& b,
     if (better > 0) strictly_better = true;
   }
   return strictly_better;
-}
-
-std::vector<DesignPoint> pareto_front(const std::vector<DesignPoint>& points,
-                                      const std::vector<Objective>& objectives) {
-  std::vector<DesignPoint> front;
-  for (const auto& candidate : points) {
-    bool dominated = false;
-    for (const auto& other : points) {
-      if (&other == &candidate) continue;
-      if (dominates(other, candidate, objectives)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) front.push_back(candidate);
-  }
-  return front;
-}
-
-std::vector<DesignPoint> sweep_1d(const std::string& name, const std::vector<double>& values,
-                                  const std::function<MetricMap(double)>& eval) {
-  GIA_SPAN("core/sweep_1d");
-  instrument::counter_add(instrument::Counter::SweepPoints, values.size());
-  std::vector<DesignPoint> out(values.size());
-  // Design points evaluate in parallel; each index fills only its own slot,
-  // so the output is ordered and byte-identical at any thread count.
-  parallel_for(values.size(), [&](std::size_t i) {
-    std::ostringstream label;
-    label << name << "=" << values[i];
-    out[i] = {label.str(), eval(values[i])};
-  });
-  return out;
 }
 
 }  // namespace gia::core

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <functional>
 #include <initializer_list>
 #include <map>
 #include <string>
@@ -8,9 +7,10 @@
 #include <vector>
 
 /// \file sweep.hpp
-/// Light design-space-exploration helpers: run a metric-producing evaluation
-/// over labeled design points, tabulate, and extract the Pareto-efficient
-/// subset. Used by the comparison/ablation studies to answer the paper's
+/// Design-point vocabulary shared by the DSE engine and the comparison
+/// studies: labeled points carrying named metrics, objective directions,
+/// and the Pareto dominance test. The streaming front built on these is
+/// `dse::ParetoFront` (dse/pareto.hpp); together they answer the paper's
 /// implicit question -- "which integration technology should I pick?" --
 /// under multiple objectives (power, cost, thermal, SI) at once.
 
@@ -69,16 +69,5 @@ struct Objective {
 /// dominate and are never dominated on that axis.
 bool dominates(const DesignPoint& a, const DesignPoint& b,
                const std::vector<Objective>& objectives);
-
-/// The non-dominated subset, preserving input order.
-std::vector<DesignPoint> pareto_front(const std::vector<DesignPoint>& points,
-                                      const std::vector<Objective>& objectives);
-
-/// Evaluate a 1-D parameter sweep: calls `eval(value)` per value and labels
-/// the points "<name>=<value>". Design points are evaluated in parallel
-/// (see core/parallel.hpp) with output order preserved, so `eval` must be
-/// safe to call concurrently.
-std::vector<DesignPoint> sweep_1d(const std::string& name, const std::vector<double>& values,
-                                  const std::function<MetricMap(double)>& eval);
 
 }  // namespace gia::core

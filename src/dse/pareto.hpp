@@ -6,9 +6,8 @@
 #include "core/sweep.hpp"
 
 /// \file pareto.hpp
-/// Incremental multi-objective Pareto-front maintenance. Where
-/// `core::pareto_front` filters a complete batch, `ParetoFront` ingests
-/// points one at a time -- the shape of a streaming search, where every
+/// Incremental multi-objective Pareto-front maintenance. `ParetoFront`
+/// ingests points one at a time -- the shape of a streaming search, where every
 /// accepted point may evict earlier front members and observers want to
 /// know *when* the front changed, not just what it converged to.
 ///

@@ -9,16 +9,6 @@ namespace gia::geometry {
 
 namespace {
 
-/// Intersection of segment [p,q] with the directed line a->b, given the two
-/// signed areas (caller guarantees p and q straddle the line, so the
-/// denominator is nonzero).
-Point edge_cross(Point p, Point q, Point a, Point b) {
-  const double op = orient2d(a, b, p);
-  const double oq = orient2d(a, b, q);
-  const double t = op / (op - oq);
-  return {p.x + t * (q.x - p.x), p.y + t * (q.y - p.y)};
-}
-
 Polygon ccw_ring(Polygon poly) {
   if (signed_area(poly) < 0.0) std::reverse(poly.pts.begin(), poly.pts.end());
   return poly;
@@ -100,31 +90,6 @@ Containment contains(const Polygon& poly, Point p) {
   return inside ? Containment::Inside : Containment::Outside;
 }
 
-Polygon convex_hull(std::vector<Point> points) {
-  std::sort(points.begin(), points.end(), [](const Point& a, const Point& b) {
-    return a.x < b.x || (a.x == b.x && a.y < b.y);
-  });
-  points.erase(std::unique(points.begin(), points.end(),
-                           [](const Point& a, const Point& b) { return a.x == b.x && a.y == b.y; }),
-               points.end());
-  const std::size_t n = points.size();
-  if (n <= 2) return Polygon{std::move(points)};
-
-  std::vector<Point> hull(2 * n);
-  std::size_t k = 0;
-  for (std::size_t i = 0; i < n; ++i) {  // lower chain
-    while (k >= 2 && orient2d(hull[k - 2], hull[k - 1], points[i]) <= 0.0) --k;
-    hull[k++] = points[i];
-  }
-  const std::size_t lower = k + 1;
-  for (std::size_t i = n - 1; i-- > 0;) {  // upper chain
-    while (k >= lower && orient2d(hull[k - 2], hull[k - 1], points[i]) <= 0.0) --k;
-    hull[k++] = points[i];
-  }
-  hull.resize(k - 1);  // last point repeats the first
-  return Polygon{std::move(hull)};
-}
-
 Polygon rect_polygon(const Rect& r) {
   return Polygon{{{r.lx, r.ly}, {r.ux, r.ly}, {r.ux, r.uy}, {r.lx, r.uy}}};
 }
@@ -153,109 +118,6 @@ Polygon clip_halfplane(const Polygon& poly, Point n, double c) {
   return out;
 }
 
-Polygon clip_convex(const Polygon& subject, const Polygon& clip) {
-  if (clip.size() < 3 || !is_convex(clip)) {
-    throw std::invalid_argument("clip_convex: clip window must be a convex polygon");
-  }
-  if (area(clip) == 0.0) {
-    throw std::invalid_argument("clip_convex: clip window has zero area");
-  }
-  const Polygon window = ccw_ring(clip);
-  Polygon out = subject;
-  const std::size_t n = window.size();
-  for (std::size_t e = 0; e < n && !out.empty(); ++e) {
-    const Point a = window[e];
-    const Point b = window[(e + 1) % n];
-    Polygon in = std::move(out);
-    out = Polygon{};
-    const std::size_t m = in.size();
-    for (std::size_t i = 0; i < m; ++i) {
-      const Point& prev = in[(i + m - 1) % m];
-      const Point& cur = in[i];
-      const bool prev_in = orient2d(a, b, prev) >= 0.0;
-      const bool cur_in = orient2d(a, b, cur) >= 0.0;
-      if (cur_in) {
-        if (!prev_in) out.pts.push_back(edge_cross(prev, cur, a, b));
-        out.pts.push_back(cur);
-      } else if (prev_in) {
-        out.pts.push_back(edge_cross(prev, cur, a, b));
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<Polygon> triangulate(const Polygon& poly) {
-  std::vector<Polygon> tris;
-  if (poly.size() < 3 || area(poly) == 0.0) return tris;
-  Polygon ring = ccw_ring(poly);
-  std::vector<Point>& v = ring.pts;
-  while (v.size() > 3) {
-    const std::size_t n = v.size();
-    bool clipped = false;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Point& prev = v[(i + n - 1) % n];
-      const Point& cur = v[i];
-      const Point& next = v[(i + 1) % n];
-      const Orientation o = orientation(prev, cur, next);
-      if (o == Orientation::Collinear) {
-        // Zero-area ear: the vertex contributes nothing, drop it.
-        v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
-        clipped = true;
-        break;
-      }
-      if (o != Orientation::CounterClockwise) continue;  // reflex vertex
-      const Polygon ear{{prev, cur, next}};
-      bool blocked = false;
-      for (std::size_t j = 0; j < n; ++j) {
-        if (j == i || j == (i + n - 1) % n || j == (i + 1) % n) continue;
-        // Boundary contact blocks too: a reflex vertex sitting exactly on
-        // the ear's diagonal would let the ear poke through the notch.
-        if (contains(ear, v[j]) != Containment::Outside) {
-          blocked = true;
-          break;
-        }
-      }
-      if (blocked) continue;
-      tris.push_back(ear);
-      v.erase(v.begin() + static_cast<std::ptrdiff_t>(i));
-      clipped = true;
-      break;
-    }
-    if (!clipped) {
-      throw std::invalid_argument("triangulate: polygon is not simple");
-    }
-  }
-  if (v.size() == 3 && orientation(v[0], v[1], v[2]) != Orientation::Collinear) {
-    tris.push_back(Polygon{{v[0], v[1], v[2]}});
-  }
-  return tris;
-}
-
-std::vector<Polygon> intersect(const Polygon& subject, const Polygon& clip) {
-  std::vector<Polygon> pieces;
-  if (subject.size() < 3 || clip.size() < 3) return pieces;
-  auto keep = [&pieces](Polygon&& p) {
-    if (p.size() >= 3 && area(p) > 0.0) pieces.push_back(std::move(p));
-  };
-  if (is_convex(clip) && area(clip) > 0.0) {
-    keep(clip_convex(subject, clip));
-    return pieces;
-  }
-  // General path: the clip window is decomposed into triangles and the
-  // subject clipped against each, so the pieces tile the boolean result.
-  for (const Polygon& tri : triangulate(clip)) {
-    keep(clip_convex(subject, tri));
-  }
-  return pieces;
-}
-
-double intersection_area(const Polygon& subject, const Polygon& clip) {
-  double total = 0.0;
-  for (const Polygon& piece : intersect(subject, clip)) total += area(piece);
-  return total;
-}
-
 Polygon offset_convex(const Polygon& poly, double delta) {
   if (poly.size() < 3 || area(poly) == 0.0) {
     throw std::invalid_argument("offset_convex: degenerate outline");
@@ -264,7 +126,7 @@ Polygon offset_convex(const Polygon& poly, double delta) {
     throw std::invalid_argument("offset_convex: non-convex outline offsets are not supported");
   }
   const Polygon ring = ccw_ring(poly);
-  // Start from a box guaranteed to contain the result and intersect the
+  // Start from a box guaranteed to contain the result and clip it by the
   // outward-shifted edge half-planes (miter joins fall out of the
   // half-plane intersection).
   const Rect bb = bounding_box(ring);
@@ -287,10 +149,42 @@ Polygon offset_convex(const Polygon& poly, double delta) {
 
 bool convex_overlap(const Polygon& a, const Polygon& b) {
   if (a.size() < 3 || b.size() < 3) return false;
+  if (!is_convex(b)) throw std::invalid_argument("convex_overlap: non-convex ring");
+  if (area(b) == 0.0) return false;
+  // Sutherland-Hodgman: clip `a` against every edge of `b`'s CCW ring,
+  // keeping the left side by the exact orientation sign.
+  const Polygon window = ccw_ring(b);
+  Polygon out = a;
+  const std::size_t n = window.size();
+  for (std::size_t e = 0; e < n && !out.empty(); ++e) {
+    const Point p = window[e];
+    const Point q = window[(e + 1) % n];
+    Polygon in = std::move(out);
+    out = Polygon{};
+    const std::size_t m = in.size();
+    for (std::size_t i = 0; i < m; ++i) {
+      const Point& prev = in[(i + m - 1) % m];
+      const Point& cur = in[i];
+      const double o_prev = orient2d(p, q, prev);
+      const double o_cur = orient2d(p, q, cur);
+      // Only called when prev and cur straddle the line, so the
+      // denominator is nonzero.
+      auto cross = [&] {
+        const double t = o_prev / (o_prev - o_cur);
+        return Point{prev.x + t * (cur.x - prev.x), prev.y + t * (cur.y - prev.y)};
+      };
+      if (o_cur >= 0.0) {
+        if (o_prev < 0.0) out.pts.push_back(cross());
+        out.pts.push_back(cur);
+      } else if (o_prev >= 0.0) {
+        out.pts.push_back(cross());
+      }
+    }
+  }
   // Positive-area intersection required: touching edges/corners produce
   // only roundoff-scale slivers, rejected by the relative tolerance.
   const double tol = 1e-9 * std::max(1.0, std::min(area(a), area(b)));
-  return intersection_area(a, b) > tol;
+  return out.size() >= 3 && area(out) > tol;
 }
 
 double convex_clearance(const Polygon& a, const Polygon& b) {

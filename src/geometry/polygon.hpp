@@ -8,13 +8,12 @@
 
 /// \file polygon.hpp
 /// Simple-polygon operations on top of the exact predicates: signed area,
-/// point containment with an explicit boundary class, collinear-robust
-/// convex hulls (Andrew monotone chain), Sutherland-Hodgman clipping
-/// against convex windows with a triangulation-based general boolean path,
-/// and miter offsetting of convex outlines for keep-out margins. Degenerate
-/// inputs (zero-area polygons, collinear hulls, clips to nothing) produce
+/// point containment with an explicit boundary class, half-plane clipping,
+/// miter offsetting of convex outlines for keep-out margins, and the
+/// overlap/clearance tests the floorplanner and router run on them.
+/// Degenerate inputs (zero-area polygons, clips to nothing) produce
 /// well-defined results; operations whose result would be ill-defined
-/// (offsetting a non-convex outline, clipping against a non-convex window)
+/// (offsetting a non-convex outline, overlapping against a non-convex ring)
 /// reject loudly with std::invalid_argument.
 
 namespace gia::geometry {
@@ -56,36 +55,11 @@ bool is_convex(const Polygon& poly);
 enum class Containment { Outside, Boundary, Inside };
 Containment contains(const Polygon& poly, Point p);
 
-/// Counter-clockwise convex hull (Andrew monotone chain) with collinear
-/// interior points dropped. Degenerate inputs stay well-defined: all points
-/// collinear yields the 2-point extreme segment, all points equal yields a
-/// single point, no points yields an empty polygon.
-Polygon convex_hull(std::vector<Point> points);
-
 /// The four rect corners as a counter-clockwise polygon.
 Polygon rect_polygon(const Rect& r);
 
-/// Sutherland-Hodgman: clip `subject` against a convex window. Returns the
-/// (possibly empty) clipped ring. Throws std::invalid_argument when `clip`
-/// is not convex or has fewer than 3 vertices.
-Polygon clip_convex(const Polygon& subject, const Polygon& clip);
-
 /// Clip a convex ring against the half-plane n.p <= c (keep side).
 Polygon clip_halfplane(const Polygon& poly, Point n, double c);
-
-/// Fan/ear-clipping triangulation of a simple polygon (each triangle is a
-/// CCW 3-vertex Polygon). Zero-area polygons triangulate to nothing.
-std::vector<Polygon> triangulate(const Polygon& poly);
-
-/// General boolean intersection path: when `clip` is convex this is one
-/// Sutherland-Hodgman pass; otherwise `clip` is triangulated and the
-/// subject is clipped against each ear, so the returned pieces tile
-/// subject-intersect-clip exactly (pieces may share edges). Empty result
-/// means disjoint.
-std::vector<Polygon> intersect(const Polygon& subject, const Polygon& clip);
-
-/// Total area of subject-intersect-clip via the general boolean path.
-double intersection_area(const Polygon& subject, const Polygon& clip);
 
 /// Miter-offset a convex ring outward by `delta` (negative shrinks). The
 /// result is the intersection of the edge half-planes shifted by delta, so
@@ -96,7 +70,9 @@ double intersection_area(const Polygon& subject, const Polygon& clip);
 Polygon offset_convex(const Polygon& poly, double delta);
 
 /// Do two convex rings share interior area? (Touching edges/corners do not
-/// count: intersection of positive area required.)
+/// count: intersection of positive area required.) `a` is clipped against
+/// `b` (Sutherland-Hodgman on exact orientation signs); throws
+/// std::invalid_argument when `b` is not convex.
 bool convex_overlap(const Polygon& a, const Polygon& b);
 
 /// Euclidean clearance between two convex rings: 0 when they overlap or

@@ -223,19 +223,6 @@ SegmentCross segment_intersection(Point a, Point b, Point c, Point d) {
   return SegmentCross::Touch;
 }
 
-bool segments_intersect(Point a, Point b, Point c, Point d) {
-  return segment_intersection(a, b, c, d) != SegmentCross::None;
-}
-
-Point segment_cross_point(Point a, Point b, Point c, Point d) {
-  // t along [a,b] from the two signed areas; a Proper crossing guarantees a
-  // nonzero denominator.
-  const double num = orient2d(c, d, a);
-  const double den = num - orient2d(c, d, b);
-  const double t = num / den;
-  return {a.x + t * (b.x - a.x), a.y + t * (b.y - a.y)};
-}
-
 double point_segment_distance(Point p, Point a, Point b) {
   const double dx = b.x - a.x, dy = b.y - a.y;
   const double len2 = dx * dx + dy * dy;
@@ -245,7 +232,7 @@ double point_segment_distance(Point p, Point a, Point b) {
 }
 
 double segment_segment_distance(Point a, Point b, Point c, Point d) {
-  if (segments_intersect(a, b, c, d)) return 0.0;
+  if (segment_intersection(a, b, c, d) != SegmentCross::None) return 0.0;
   return std::min(std::min(point_segment_distance(a, c, d), point_segment_distance(b, c, d)),
                   std::min(point_segment_distance(c, a, b), point_segment_distance(d, a, b)));
 }

@@ -7,7 +7,7 @@
 /// arithmetic: `orient2d` evaluates the sign of the 2x2 orientation
 /// determinant with a floating-point filter and falls back to an exact
 /// expansion-arithmetic evaluation only when the filter cannot certify the
-/// sign. Everything above this file (hulls, clipping, visibility routing)
+/// sign. Everything above this file (clipping, overlap, visibility routing)
 /// branches on these signs, so degenerate inputs -- collinear triples,
 /// touching segments, shared endpoints -- classify deterministically instead
 /// of depending on rounding luck.
@@ -38,18 +38,10 @@ enum class SegmentCross {
 };
 SegmentCross segment_intersection(Point a, Point b, Point c, Point d);
 
-/// True when the segments share at least one point (any SegmentCross other
-/// than None).
-bool segments_intersect(Point a, Point b, Point c, Point d);
-
-/// Intersection point of two properly crossing segments. Preconditions:
-/// segment_intersection(...) == Proper (the denominator is then nonzero).
-Point segment_cross_point(Point a, Point b, Point c, Point d);
-
 /// Euclidean distance from p to the closed segment [a, b].
 double point_segment_distance(Point p, Point a, Point b);
 
-/// Euclidean distance between two closed segments (0 when they intersect).
+/// Euclidean distance between two closed segments (0 when they meet).
 double segment_segment_distance(Point a, Point b, Point c, Point d);
 
 }  // namespace gia::geometry

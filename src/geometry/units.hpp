@@ -12,20 +12,14 @@ namespace gia::geometry {
 
 /// Lengths in this library are doubles in micrometers unless a function says
 /// otherwise. These helpers make call sites self-documenting.
-constexpr double um(double v) { return v; }
 constexpr double mm(double v) { return v * 1e3; }
-constexpr double nm(double v) { return v * 1e-3; }
 
 /// Convert micrometers to meters for electrical/thermal formulas.
 constexpr double um_to_m(double v_um) { return v_um * 1e-6; }
-constexpr double m_to_um(double v_m) { return v_m * 1e6; }
-constexpr double um_to_mm(double v_um) { return v_um * 1e-3; }
 constexpr double mm_to_um(double v_mm) { return v_mm * 1e3; }
 
 /// Area conversions.
 constexpr double um2_to_mm2(double v) { return v * 1e-6; }
-constexpr double mm2_to_um2(double v) { return v * 1e6; }
-constexpr double um2_to_m2(double v) { return v * 1e-12; }
 
 namespace constants {
 /// Vacuum permittivity [F/m].

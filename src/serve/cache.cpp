@@ -11,7 +11,6 @@
 #include <unistd.h>
 
 #include "core/content_cache.hpp"
-#include "core/instrument.hpp"
 #include "core/serialize.hpp"
 #include "serve/faultinject.hpp"
 #include "serve/request.hpp"
@@ -19,7 +18,6 @@
 namespace gia::serve {
 
 namespace fs = std::filesystem;
-namespace ins = core::instrument;
 
 struct ResultCache::Impl {
   explicit Impl(const Config& cfg)
@@ -64,7 +62,6 @@ ResultCache::~ResultCache() = default;
 ResultCache::ResultPtr ResultCache::get(std::uint64_t key) {
   if (ResultPtr hit = impl_->lru.get(key)) {
     impl_->hits.fetch_add(1, std::memory_order_relaxed);
-    ins::counter_add(ins::Counter::CacheHits);
     return hit;
   }
 
@@ -80,7 +77,6 @@ ResultCache::ResultPtr ResultCache::get(std::uint64_t key) {
         impl_->remember(key, result);
         impl_->hits.fetch_add(1, std::memory_order_relaxed);
         impl_->disk_hits.fetch_add(1, std::memory_order_relaxed);
-        ins::counter_add(ins::Counter::CacheHits);
         return result;
       } catch (const std::exception& e) {
         // Corrupt disk entries degrade to a miss (the flow re-runs and
@@ -95,7 +91,6 @@ ResultCache::ResultPtr ResultCache::get(std::uint64_t key) {
   }
 
   impl_->misses.fetch_add(1, std::memory_order_relaxed);
-  ins::counter_add(ins::Counter::CacheMisses);
   return nullptr;
 }
 

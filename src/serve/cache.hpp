@@ -54,8 +54,7 @@ class ResultCache {
   ResultCache& operator=(const ResultCache&) = delete;
 
   /// Look up a key: memory first (refreshes LRU position), then the disk
-  /// store. Returns nullptr on a miss. Updates hit/miss counters and the
-  /// instrument layer's CacheHits/CacheMisses.
+  /// store. Returns nullptr on a miss. Updates the hit/miss counters.
   ResultPtr get(std::uint64_t key);
 
   /// Insert (or refresh) a result; evicts the least-recently-used entry of

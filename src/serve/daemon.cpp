@@ -14,6 +14,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -40,7 +41,6 @@
 namespace gia::serve {
 
 namespace json = core::json;
-namespace ins = core::instrument;
 
 namespace {
 
@@ -152,8 +152,7 @@ struct Server::Impl {
     std::lock_guard<std::mutex> lk(search_mu);
     return active_searches.size();
   }
-  /// Always-on dse counters (the instrument-layer dse_* counters only
-  /// count when GIA_TRACE is set; the stats verb must not depend on that).
+  /// Always-on dse counters: the stats verb reports them with tracing off.
   std::atomic<std::uint64_t> n_searches{0}, n_search_done{0}, n_search_cancelled{0},
       n_search_expired{0}, n_search_rejected{0}, n_search_points{0}, n_front_updates{0},
       n_search_cache_assisted{0};
@@ -416,7 +415,6 @@ struct Server::Impl {
     if (const json::Value* r = v.find("result")) include_result = r->as<bool>("result");
 
     n_flow_requests.fetch_add(1, std::memory_order_relaxed);
-    ins::counter_add(ins::Counter::ServeRequests);
 
     const auto t0 = std::chrono::steady_clock::now();
     const JobTicket ticket = scheduler->submit(req, sopts);
@@ -966,6 +964,25 @@ bool parse_int_arg(const std::string& name, const char* text, long long min, lon
            (max < kAnyMax ? "in [" + std::to_string(min) + ", " + std::to_string(max) + "]"
                           : ">= " + std::to_string(min)) +
            ", got '" + text + "'";
+  return false;
+}
+
+bool parse_double_arg(const std::string& name, const char* text, double min, double max,
+                      double* out, std::string* err) {
+  char* end = nullptr;
+  const double v = std::strtod(text, &end);
+  if (end != text && *end == '\0' && std::isfinite(v) && v >= min && v <= max) {
+    *out = v;
+    return true;
+  }
+  if (err) {
+    char range[64];
+    std::snprintf(range, sizeof range, "in [%g, %g]", min, max);
+    const bool bounded = min > std::numeric_limits<double>::lowest() ||
+                         max < std::numeric_limits<double>::max();
+    *err = name + " expects a finite number" + (bounded ? std::string(" ") + range : "") +
+           ", got '" + text + "'";
+  }
   return false;
 }
 

@@ -178,6 +178,10 @@ std::string server_args_usage(std::size_t indent);
 /// returns false with `*err` naming `name`, the range and the text.
 bool parse_int_arg(const std::string& name, const char* text, long long min, long long max,
                    long long* out, std::string* err = nullptr);
+/// Its sibling for real numbers: the whole of `text` is a finite number in
+/// [min, max] ("nan", "1e999" and "" are errors, never 0 or infinity).
+bool parse_double_arg(const std::string& name, const char* text, double min, double max,
+                      double* out, std::string* err = nullptr);
 
 /// Minimal blocking NDJSON client for giaflow/bench/CI. Every socket op is
 /// bounded (connect timeout, per-op SO_RCVTIMEO/SO_SNDTIMEO, response-size

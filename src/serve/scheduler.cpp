@@ -327,7 +327,6 @@ JobTicket JobScheduler::submit(const FlowRequest& req, const SubmitOptions& opts
     }
     if (live) {
       impl_->n_coalesced.fetch_add(1, std::memory_order_relaxed);
-      ins::counter_add(ins::Counter::CacheCoalesced);
       return JobTicket(fl->second, /*from_cache=*/false, /*coalesced=*/true);
     }
   }

@@ -46,30 +46,24 @@ LevelStats merge(LevelStats a, const LevelStats& b) {
 /// floating-point accumulation grouping) never depends on the thread count.
 constexpr std::size_t kUiGrain = 32;
 
-EyeResult measure_eye_runs(const std::vector<const PrbsRun*>& runs, const EyeConfig& cfg) {
+}  // namespace
+
+EyeResult measure_eye(const PrbsRun& run, const EyeConfig& cfg) {
   GIA_SPAN("signal/eye_measure");
-  if (runs.empty()) throw std::invalid_argument("no PRBS runs");
-  const double ui = runs[0]->ui_s;
+  const double ui = run.ui_s;
   const double t_start = cfg.skip_bits * ui;
-  for (const PrbsRun* r : runs) {
-    if (r->rx.empty() || r->ui_s <= 0) throw std::invalid_argument("empty PRBS run");
-    if (r->ui_s != ui) throw std::invalid_argument("mismatched UI across segments");
-    if (r->rx.duration() < t_start + 8 * ui) throw std::invalid_argument("PRBS run too short");
-  }
+  if (run.rx.empty() || ui <= 0) throw std::invalid_argument("empty PRBS run");
+  if (run.rx.duration() < t_start + 8 * ui) throw std::invalid_argument("PRBS run too short");
 
   EyeResult out;
   out.ui_s = ui;
 
-  // --- Eye width: fold every segment's threshold crossings into [0, UI)
-  // and find the largest circular gap between consecutive crossing phases.
-  // Segments contribute in order, and the sort makes the set canonical, so
-  // the fold is deterministic. The gap center doubles as the sampling phase.
-  std::vector<double> phases;
-  for (const PrbsRun* r : runs) {
-    const auto xs = r->rx.crossings(cfg.threshold, t_start, 0);
-    phases.reserve(phases.size() + xs.size());
-    for (double t : xs) phases.push_back(std::fmod(t, ui));
-  }
+  // --- Eye width: fold the threshold crossings into [0, UI) and find the
+  // largest circular gap between consecutive crossing phases. The sort makes
+  // the set canonical, so the fold is deterministic. The gap center doubles
+  // as the sampling phase.
+  std::vector<double> phases = run.rx.crossings(cfg.threshold, t_start, 0);
+  for (double& t : phases) t = std::fmod(t, ui);
   double sample_phase = ui / 2.0;
   if (phases.size() < 3) {
     // Degenerate: a stuck or rail-to-rail-clean channel. Width = full UI if
@@ -90,34 +84,22 @@ EyeResult measure_eye_runs(const std::vector<const PrbsRun*>& runs, const EyeCon
     sample_phase = center;
   }
 
-  // --- Eye height: sample every UI of every segment at the sampling phase,
-  // classify by level, and take the worst separation. The global UI index
-  // space [0, total_uis) spans the segments in order; the reduction chunks
-  // it with a fixed grain so the result is thread-count independent.
+  // --- Eye height: sample every UI after the warm-up at the sampling phase,
+  // classify by level, and take the worst separation. The reduction chunks
+  // the UI index space with a fixed grain so the result is thread-count
+  // independent.
   const int first_ui = cfg.skip_bits;
-  std::vector<std::size_t> seg_offset(runs.size() + 1, 0);
-  for (std::size_t s = 0; s < runs.size(); ++s) {
-    const int last_ui = static_cast<int>(runs[s]->rx.duration() / ui) - 1;
-    const int count = std::max(0, last_ui - first_ui);
-    seg_offset[s + 1] = seg_offset[s] + static_cast<std::size_t>(count);
-  }
-  const std::size_t total_uis = seg_offset.back();
+  const int last_ui = static_cast<int>(run.rx.duration() / ui) - 1;
+  const auto total_uis = static_cast<std::size_t>(std::max(0, last_ui - first_ui));
   core::instrument::counter_add(core::instrument::Counter::EyeUis, total_uis);
-
-  auto locate = [&](std::size_t gi) {
-    const auto it = std::upper_bound(seg_offset.begin(), seg_offset.end(), gi);
-    const std::size_t s = static_cast<std::size_t>(it - seg_offset.begin()) - 1;
-    const int k = first_ui + static_cast<int>(gi - seg_offset[s]);
-    return std::pair<std::size_t, int>(s, k);
-  };
+  auto ui_index = [first_ui](std::size_t i) { return first_ui + static_cast<int>(i); };
 
   const LevelStats stats = core::ordered_reduce(
       total_uis, kUiGrain, LevelStats{},
       [&](std::size_t begin, std::size_t end) {
         LevelStats p;
-        for (std::size_t gi = begin; gi < end; ++gi) {
-          const auto [s, k] = locate(gi);
-          const double v = runs[s]->rx.at(k * ui + sample_phase);
+        for (std::size_t i = begin; i < end; ++i) {
+          const double v = run.rx.at(ui_index(i) * ui + sample_phase);
           if (v >= cfg.threshold) {
             p.min_high = std::min(p.min_high, v);
             p.sum_h += v;
@@ -148,41 +130,22 @@ EyeResult measure_eye_runs(const std::vector<const PrbsRun*>& runs, const EyeCon
   }
 
   if (cfg.keep_traces) {
-    const int samples_per_ui =
-        std::max(4, static_cast<int>(std::lround(ui / runs[0]->rx.dt())));
+    const int samples_per_ui = std::max(4, static_cast<int>(std::lround(ui / run.rx.dt())));
     out.traces.assign(total_uis, {});
-    core::parallel_for(total_uis, [&](std::size_t gi) {
-      const auto [s, k] = locate(gi);
-      auto& trace = out.traces[gi];
+    core::parallel_for(total_uis, [&](std::size_t i) {
+      const int k = ui_index(i);
+      auto& trace = out.traces[i];
       trace.reserve(static_cast<std::size_t>(samples_per_ui));
-      for (int i = 0; i < samples_per_ui; ++i) {
-        trace.push_back(runs[s]->rx.at(k * ui + i * ui / samples_per_ui));
+      for (int j = 0; j < samples_per_ui; ++j) {
+        trace.push_back(run.rx.at(k * ui + j * ui / samples_per_ui));
       }
     });
   }
   return out;
 }
 
-}  // namespace
-
-EyeResult measure_eye(const PrbsRun& run, const EyeConfig& cfg) {
-  return measure_eye_runs({&run}, cfg);
-}
-
-EyeResult measure_eye_ensemble(const std::vector<PrbsRun>& runs, const EyeConfig& cfg) {
-  std::vector<const PrbsRun*> ptrs;
-  ptrs.reserve(runs.size());
-  for (const auto& r : runs) ptrs.push_back(&r);
-  return measure_eye_runs(ptrs, cfg);
-}
-
 EyeResult simulate_eye(const LinkSpec& spec, int n_bits, const EyeConfig& cfg) {
   return measure_eye(run_prbs(spec, n_bits), cfg);
-}
-
-EyeResult simulate_eye_ensemble(const LinkSpec& spec, int n_bits_per_segment, int n_segments,
-                                const EyeConfig& cfg) {
-  return measure_eye_ensemble(run_prbs_segments(spec, n_bits_per_segment, n_segments), cfg);
 }
 
 }  // namespace gia::signal

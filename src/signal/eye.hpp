@@ -42,20 +42,7 @@ struct EyeConfig {
 /// Fold a PRBS run into an eye and measure it.
 EyeResult measure_eye(const PrbsRun& run, const EyeConfig& cfg = {});
 
-/// Fold several independent PRBS segments (same link, different seeds) into
-/// one eye: crossing phases merge across segments for the width, and level
-/// statistics accumulate over every segment's UIs in segment order, so the
-/// measurement is deterministic regardless of how the segments were
-/// produced.
-EyeResult measure_eye_ensemble(const std::vector<PrbsRun>& runs, const EyeConfig& cfg = {});
-
 /// Convenience: simulate the link's PRBS response and measure the eye.
 EyeResult simulate_eye(const LinkSpec& spec, int n_bits = 127, const EyeConfig& cfg = {});
-
-/// Convenience: simulate `n_segments` independent PRBS segments in parallel
-/// (thread pool) and fold them into one eye. More bits of channel coverage
-/// per wall-clock second than one long serial run.
-EyeResult simulate_eye_ensemble(const LinkSpec& spec, int n_bits_per_segment, int n_segments,
-                                const EyeConfig& cfg = {});
 
 }  // namespace gia::signal

@@ -6,7 +6,6 @@
 
 #include "circuit/transient.hpp"
 #include "core/instrument.hpp"
-#include "core/parallel.hpp"
 #include "signal/prbs.hpp"
 
 namespace gia::signal {
@@ -212,19 +211,6 @@ PrbsRun run_prbs(const LinkSpec& spec, int n_bits, unsigned seed) {
   out.rx = std::move(res.node_v[0]);
   out.ui_s = ui;
   out.n_bits = n_bits;
-  return out;
-}
-
-std::vector<PrbsRun> run_prbs_segments(const LinkSpec& spec, int n_bits_per_segment,
-                                       int n_segments, unsigned base_seed) {
-  GIA_SPAN("signal/prbs_segments");
-  if (n_segments < 1) throw std::invalid_argument("need >= 1 segment");
-  core::instrument::counter_add(core::instrument::Counter::PrbsSegments,
-                                static_cast<std::uint64_t>(n_segments));
-  std::vector<PrbsRun> out(static_cast<std::size_t>(n_segments));
-  core::parallel_for(static_cast<std::size_t>(n_segments), [&](std::size_t s) {
-    out[s] = run_prbs(spec, n_bits_per_segment, base_seed + static_cast<unsigned>(s));
-  });
   return out;
 }
 

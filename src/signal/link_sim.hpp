@@ -61,11 +61,4 @@ struct PrbsRun {
 };
 PrbsRun run_prbs(const LinkSpec& spec, int n_bits, unsigned seed = 1);
 
-/// Independent PRBS segments (seed = base_seed + segment index) simulated
-/// concurrently on the thread pool -- the parallel unit for ensemble eye
-/// folding (see eye.hpp). Segment s is always seeded the same way, so the
-/// result is byte-identical at any thread count.
-std::vector<PrbsRun> run_prbs_segments(const LinkSpec& spec, int n_bits_per_segment,
-                                       int n_segments, unsigned base_seed = 1);
-
 }  // namespace gia::signal

@@ -11,12 +11,6 @@ int Stackup::metal_layer_count() const {
   }));
 }
 
-int Stackup::signal_layer_count() const {
-  return static_cast<int>(std::count_if(layers_.begin(), layers_.end(), [](const Layer& l) {
-    return l.kind == LayerKind::Metal && l.role == MetalRole::Signal;
-  }));
-}
-
 std::vector<int> Stackup::metal_indices() const {
   std::vector<int> out;
   for (int i = 0; i < static_cast<int>(layers_.size()); ++i) {

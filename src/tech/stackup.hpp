@@ -39,7 +39,6 @@ class Stackup {
   const Layer& layer(int i) const { return layers_.at(static_cast<std::size_t>(i)); }
 
   int metal_layer_count() const;
-  int signal_layer_count() const;
   /// Indices (into layers()) of metal layers, bottom to top.
   std::vector<int> metal_indices() const;
   /// Total stack height [um].

@@ -20,9 +20,6 @@ struct ZLayer {
   double thickness_um = 100.0;
   geometry::Grid<double> k;      ///< conductivity [W/(m*K)] per lateral cell
   geometry::Grid<double> power;  ///< dissipated power [W] per cell
-  /// Volumetric heat capacity [J/(m^3 K)] (transient analysis); a single
-  /// per-layer value is adequate at this mesh altitude.
-  double cvol = 1.7e6;
 };
 
 struct ThermalMesh {

@@ -67,27 +67,4 @@ ThermalField solve_steady_state(const ThermalMesh& mesh, const SolverOptions& op
 ThermalField solve_steady_state_sor(const ThermalMesh& mesh, const SolverOptions& opts = {});
 ThermalField solve_steady_state_multigrid(const ThermalMesh& mesh, const SolverOptions& opts = {});
 
-/// Transient heating from ambient with the mesh's power map applied at
-/// t = 0 (explicit finite-volume stepping; the step size is chosen
-/// automatically from the stability limit). Returns the temperature of the
-/// probed cell over time plus the final field.
-struct TransientThermalResult {
-  std::vector<double> time_s;
-  std::vector<double> probe_c;
-  ThermalField final_field;
-  /// Time for the probe to cover 63.2% of its total rise (the dominant
-  /// thermal time constant).
-  double tau_s = 0;
-};
-
-struct ThermalProbe {
-  int layer = 0;
-  int x = 0;
-  int y = 0;
-};
-
-TransientThermalResult solve_transient(const ThermalMesh& mesh, double t_stop_s,
-                                       const ThermalProbe& probe,
-                                       const SolverOptions& opts = {});
-
 }  // namespace gia::thermal

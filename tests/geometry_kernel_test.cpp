@@ -6,7 +6,6 @@
 
 #include "geometry/polygon.hpp"
 #include "geometry/predicates.hpp"
-#include "geometry/voronoi.hpp"
 
 namespace g = gia::geometry;
 
@@ -64,30 +63,8 @@ TEST(Predicates, SegmentDistances) {
 }
 
 // ---------------------------------------------------------------------------
-// Hulls and containment degeneracies.
+// Containment degeneracies.
 // ---------------------------------------------------------------------------
-
-TEST(ConvexHull, CollinearInputCollapsesToExtremeSegment) {
-  auto h = g::convex_hull({{0, 0}, {1, 1}, {2, 2}, {3, 3}, {1.5, 1.5}});
-  ASSERT_EQ(h.size(), 2u);
-  EXPECT_EQ(h[0], (g::Point{0, 0}));
-  EXPECT_EQ(h[1], (g::Point{3, 3}));
-}
-
-TEST(ConvexHull, AllEqualAndEmpty) {
-  auto one = g::convex_hull({{2, 2}, {2, 2}, {2, 2}});
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_EQ(one[0], (g::Point{2, 2}));
-  EXPECT_TRUE(g::convex_hull({}).empty());
-}
-
-TEST(ConvexHull, DropsCollinearEdgePoints) {
-  // Midpoints of the square's edges must not survive on the hull.
-  auto h = g::convex_hull({{0, 0}, {2, 0}, {2, 2}, {0, 2}, {1, 0}, {2, 1}, {1, 2}, {0, 1}});
-  EXPECT_EQ(h.size(), 4u);
-  EXPECT_GT(g::signed_area(h), 0.0);  // CCW
-  EXPECT_DOUBLE_EQ(g::area(h), 4.0);
-}
 
 TEST(Containment, ZeroAreaPolygonContainsOnlyBoundary) {
   auto degenerate = poly({{0, 0}, {2, 0}, {1, 0}});
@@ -116,9 +93,12 @@ TEST(Containment, BoundaryIsItsOwnClass) {
 TEST(Clip, DisjointWindowsClipToEmpty) {
   auto subject = poly({{0, 0}, {1, 0}, {1, 1}, {0, 1}});
   auto window = poly({{5, 5}, {6, 5}, {6, 6}, {5, 6}});
-  EXPECT_TRUE(g::clip_convex(subject, window).empty());
-  EXPECT_TRUE(g::intersect(subject, window).empty());
-  EXPECT_DOUBLE_EQ(g::intersection_area(subject, window), 0.0);
+  EXPECT_FALSE(g::convex_overlap(subject, window));
+  EXPECT_FALSE(g::convex_overlap(window, subject));
+  // Keep x <= 4: the subject's half-plane clip is the whole subject, the
+  // window's is nothing.
+  EXPECT_DOUBLE_EQ(g::area(g::clip_halfplane(subject, {1, 0}, 4.0)), 1.0);
+  EXPECT_TRUE(g::clip_halfplane(window, {1, 0}, 4.0).empty());
 }
 
 TEST(Clip, TouchingEdgeClipsToZeroArea) {
@@ -126,9 +106,9 @@ TEST(Clip, TouchingEdgeClipsToZeroArea) {
   // degenerate sliver of zero area, never a crash or a fat polygon.
   auto subject = poly({{0, 0}, {1, 0}, {1, 1}, {0, 1}});
   auto window = poly({{1, 0}, {2, 0}, {2, 1}, {1, 1}});
-  auto clipped = g::clip_convex(subject, window);
-  EXPECT_DOUBLE_EQ(g::area(clipped), 0.0);
-  EXPECT_DOUBLE_EQ(g::intersection_area(subject, window), 0.0);
+  EXPECT_FALSE(g::convex_overlap(subject, window));
+  // Keep x >= 1.
+  EXPECT_DOUBLE_EQ(g::area(g::clip_halfplane(subject, {-1, 0}, -1.0)), 0.0);
 }
 
 TEST(Clip, HalfplaneAndNonConvexWindow) {
@@ -138,18 +118,18 @@ TEST(Clip, HalfplaneAndNonConvexWindow) {
   EXPECT_DOUBLE_EQ(g::area(half), 8.0);
   // Clip-to-nothing: keep x <= -1.
   EXPECT_TRUE(g::clip_halfplane(sq, {1, 0}, -1.0).empty());
-  // Non-convex window must be rejected by the convex-only pass...
+  // A non-convex clip window is rejected, not silently mis-clipped.
   auto ell = poly({{0, 0}, {4, 0}, {4, 2}, {2, 2}, {2, 4}, {0, 4}});
-  EXPECT_THROW(g::clip_convex(sq, ell), std::invalid_argument);
-  // ...and handled by the general boolean path (L covers 12 of 16).
-  EXPECT_NEAR(g::intersection_area(sq, ell), 12.0, 1e-9);
+  EXPECT_THROW(g::convex_overlap(sq, ell), std::invalid_argument);
+  EXPECT_TRUE(g::convex_overlap(ell, sq));
 }
 
 TEST(Clip, ZeroAreaSubjectStaysWellDefined) {
   auto sliver = poly({{0, 0}, {4, 0}, {2, 0}});
   auto window = poly({{1, -1}, {3, -1}, {3, 1}, {1, 1}});
-  EXPECT_DOUBLE_EQ(g::intersection_area(sliver, window), 0.0);
-  EXPECT_TRUE(g::triangulate(sliver).empty());
+  EXPECT_FALSE(g::convex_overlap(sliver, window));
+  EXPECT_FALSE(g::convex_overlap(window, sliver));
+  EXPECT_DOUBLE_EQ(g::area(g::clip_halfplane(sliver, {1, 0}, 3.0)), 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -189,53 +169,4 @@ TEST(Overlap, TouchingIsNotOverlap) {
   EXPECT_DOUBLE_EQ(g::convex_clearance(a, c), 0.0);
   auto far = poly({{5, 0}, {6, 0}, {6, 2}, {5, 2}});
   EXPECT_DOUBLE_EQ(g::convex_clearance(a, far), 3.0);
-}
-
-// ---------------------------------------------------------------------------
-// Voronoi decomposition.
-// ---------------------------------------------------------------------------
-
-TEST(Voronoi, CellsTileTheWindow) {
-  const g::Rect bounds{0, 0, 100, 60};
-  const std::vector<g::Point> seeds{{10, 10}, {80, 15}, {45, 45}, {20, 50}, {90, 50}};
-  auto cells = g::voronoi_regions(seeds, bounds);
-  ASSERT_EQ(cells.size(), seeds.size());
-  double total = 0;
-  for (const auto& c : cells) {
-    EXPECT_TRUE(g::is_convex(c.cell));
-    // Every cell contains its own seed and no other.
-    EXPECT_NE(g::contains(c.cell, seeds[c.seed]), g::Containment::Outside);
-    total += g::area(c.cell);
-  }
-  EXPECT_NEAR(total, bounds.area(), 1e-6);
-}
-
-TEST(Voronoi, SingleSeedOwnsWindow) {
-  const g::Rect bounds{0, 0, 10, 10};
-  auto cells = g::voronoi_regions({{3, 3}}, bounds);
-  ASSERT_EQ(cells.size(), 1u);
-  EXPECT_DOUBLE_EQ(g::area(cells[0].cell), 100.0);
-}
-
-TEST(Voronoi, RejectsDuplicateAndOutOfBoundsSeeds) {
-  const g::Rect bounds{0, 0, 10, 10};
-  EXPECT_THROW(g::voronoi_regions({{2, 2}, {2, 2}}, bounds), std::invalid_argument);
-  EXPECT_THROW(g::voronoi_regions({{2, 2}, {11, 5}}, bounds), std::invalid_argument);
-  EXPECT_THROW(g::voronoi_regions({}, bounds), std::invalid_argument);
-}
-
-TEST(Voronoi, NeighborCapMatchesExactOnModestCounts) {
-  // With the cap at least the true neighbor count the approximation is
-  // exact; a 4x4 grid of seeds has at most 8 geometric neighbors per cell.
-  const g::Rect bounds{0, 0, 40, 40};
-  std::vector<g::Point> seeds;
-  for (int j = 0; j < 4; ++j) {
-    for (int i = 0; i < 4; ++i) seeds.push_back({5.0 + 10.0 * i, 5.0 + 10.0 * j});
-  }
-  auto exact = g::voronoi_regions(seeds, bounds, 0);
-  auto capped = g::voronoi_regions(seeds, bounds, 8);
-  ASSERT_EQ(exact.size(), capped.size());
-  for (std::size_t i = 0; i < exact.size(); ++i) {
-    EXPECT_NEAR(g::area(exact[i].cell), g::area(capped[i].cell), 1e-9);
-  }
 }

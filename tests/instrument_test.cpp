@@ -9,8 +9,10 @@
 
 #include <string>
 
+#include "core/links.hpp"
 #include "core/parallel.hpp"
-#include "core/sweep.hpp"
+#include "signal/eye.hpp"
+#include "tech/library.hpp"
 
 namespace ins = gia::core::instrument;
 
@@ -157,20 +159,25 @@ TEST_F(InstrumentTest, FromJsonRejectsMalformedInput) {
 }
 
 TEST_F(InstrumentTest, InstrumentedSweepRecordsSpanAndCounter) {
-  gia::core::sweep_1d("x", {1.0, 2.0, 3.0}, [](double v) {
-    gia::core::MetricMap m;
-    m.set("y", 2.0 * v);
-    return m;
-  });
-  EXPECT_EQ(ins::counter_value(ins::Counter::SweepPoints), 3u);
+  // The eye fold sweeps every sampled UI under one span and counts them.
+  const auto spec = gia::core::make_fixed_line_spec(
+      gia::tech::make_technology(gia::tech::TechnologyKind::Silicon25D), 1500.0);
+  const auto run = gia::signal::run_prbs(spec, 48);
+  ins::reset();  // keep only what the fold records
+  gia::signal::EyeConfig cfg;
+  cfg.keep_traces = true;
+  const auto eye = gia::signal::measure_eye(run, cfg);
+  const std::uint64_t uis = eye.traces.size();
+  ASSERT_GT(uis, 0u);
+  EXPECT_EQ(ins::counter_value(ins::Counter::EyeUis), uis);
   const auto rep = ins::RunReport::capture();
   ASSERT_EQ(rep.root.children.size(), 1u);
-  EXPECT_EQ(rep.root.children[0].name, "core/sweep_1d");
+  EXPECT_EQ(rep.root.children[0].name, "signal/eye_measure");
   EXPECT_EQ(rep.root.children[0].count, 1u);
 
   const std::string text = rep.to_text();
-  EXPECT_NE(text.find("core/sweep_1d"), std::string::npos);
-  EXPECT_NE(text.find("sweep_points = 3"), std::string::npos);
+  EXPECT_NE(text.find("signal/eye_measure"), std::string::npos);
+  EXPECT_NE(text.find("eye_uis = " + std::to_string(uis)), std::string::npos);
 }
 
 }  // namespace

@@ -124,6 +124,23 @@ serve::FlowRequest full_knob_request() {
   return r;
 }
 
+/// Disarms every fault site when the scope ends, also when a failed
+/// assertion returns early. Declare it before the scheduler, so the
+/// scheduler's workers have stopped by the time it disarms.
+struct FaultScope {
+  FaultScope() = default;
+  explicit FaultScope(const char* spec) { serve::fault::configure(spec); }
+  ~FaultScope() { serve::fault::configure(""); }
+  FaultScope(const FaultScope&) = delete;
+  FaultScope& operator=(const FaultScope&) = delete;
+};
+
+/// Worker stall that keeps a "blocker" job Running while a test queues work
+/// behind it. The worker marks a job Running before it stalls, so every job
+/// that starts stays Running this long, however warm the stage cache is
+/// (a warm flow finishes inside wait_until_running's 1 ms poll).
+constexpr const char* kBlockerStall = "sched_stall=1:500";
+
 /// Spin until the ticket reports Running (the scheduler worker picked it up).
 void wait_until_running(const serve::JobTicket& t) {
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
@@ -592,6 +609,7 @@ TEST(ServeSchedulerTest, BurstOfDuplicatesRunsOnceAndCoalesces) {
 }
 
 TEST(ServeSchedulerTest, PriorityOrdersTheQueue) {
+  const FaultScope stall(kBlockerStall);
   serve::JobScheduler::Options opts;
   opts.workers = 1;
   serve::JobScheduler sched(opts);
@@ -612,6 +630,7 @@ TEST(ServeSchedulerTest, PriorityOrdersTheQueue) {
 }
 
 TEST(ServeSchedulerTest, ExpiredDeadlineNeverRuns) {
+  const FaultScope stall(kBlockerStall);  // only the blocker starts, so only it stalls
   serve::JobScheduler::Options opts;
   opts.workers = 1;
   serve::JobScheduler sched(opts);
@@ -628,6 +647,7 @@ TEST(ServeSchedulerTest, ExpiredDeadlineNeverRuns) {
 }
 
 TEST(ServeSchedulerTest, CancelQueuedNotRunning) {
+  const FaultScope stall(kBlockerStall);  // only the blocker starts, so only it stalls
   serve::JobScheduler::Options opts;
   opts.workers = 1;
   serve::JobScheduler sched(opts);
@@ -668,6 +688,7 @@ TEST(ServeSchedulerTest, DrainReturnsAfterCancelledQueuedJobs) {
 }
 
 TEST(ServeSchedulerTest, DependenciesOrderExecutionAndCascadeCancellation) {
+  const FaultScope faults;
   serve::JobScheduler::Options opts;
   opts.workers = 2;
   serve::JobScheduler sched(opts);
@@ -688,6 +709,7 @@ TEST(ServeSchedulerTest, DependenciesOrderExecutionAndCascadeCancellation) {
 
   // Cancelling a held job cascades to its dependents. Both workers are kept
   // busy first, or an idle one could start d before the cancel lands.
+  serve::fault::configure(kBlockerStall);
   const auto blocker = sched.submit(request_for(tech::TechnologyKind::Glass25D, 4));
   const auto blocker2 = sched.submit(request_for(tech::TechnologyKind::Glass25D, 7));
   wait_until_running(blocker);
@@ -1078,6 +1100,20 @@ TEST(ServeArgsTest, RejectsUnknownFlagsAndMalformedNumbers) {
   long long port = 0;
   EXPECT_TRUE(serve::parse_int_arg("<port>", "7411", 1, 65535, &port));
   EXPECT_EQ(port, 7411);
+
+  // Its real-number sibling (`giaflow eye` lengths and rates, flow flags):
+  // atof read "abc" as a 0 um channel and exited 0.
+  for (const char* text : {"abc", "", "nan", "1e999", "0", "-5", "12um"}) {
+    double v = -7;
+    std::string err;
+    EXPECT_FALSE(serve::parse_double_arg("<len_um>", text, 1, 1e5, &v, &err)) << text;
+    EXPECT_EQ(v, -7) << text;
+    EXPECT_NE(err.find("<len_um>"), std::string::npos) << err;
+    EXPECT_NE(err.find(std::string("'") + text + "'"), std::string::npos) << err;
+  }
+  double len = 0;
+  EXPECT_TRUE(serve::parse_double_arg("<len_um>", "1500.5", 1, 1e5, &len));
+  EXPECT_EQ(len, 1500.5);
 }
 
 }  // namespace

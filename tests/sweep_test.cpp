@@ -24,6 +24,7 @@ TEST(Sweep, DominanceBasics) {
   EXPECT_FALSE(co::dominates(pt("b", 3, 1), pt("a", 1, 3), kMinBoth));
   // Equal points never dominate each other.
   EXPECT_FALSE(co::dominates(pt("a", 1, 1), pt("b", 1, 1), kMinBoth));
+  EXPECT_THROW(co::dominates(pt("a", 1, 1), pt("b", 2, 2), {}), std::invalid_argument);
 }
 
 TEST(Sweep, MaximizeDirection) {
@@ -40,32 +41,6 @@ TEST(Sweep, MissingMetricNeverDominates) {
   co::DesignPoint b{"b", {{"power", 2.0}, {"cost", 1.0}}};
   EXPECT_FALSE(co::dominates(a, b, kMinBoth));
   EXPECT_FALSE(co::dominates(b, a, kMinBoth));
-}
-
-TEST(Sweep, ParetoFrontExtraction) {
-  const std::vector<co::DesignPoint> pts = {pt("cheap-hot", 10, 1), pt("mid", 5, 5),
-                                            pt("dear-cool", 1, 10), pt("dominated", 11, 2),
-                                            pt("also-dominated", 6, 6)};
-  const auto front = co::pareto_front(pts, kMinBoth);
-  ASSERT_EQ(front.size(), 3u);
-  EXPECT_EQ(front[0].label, "cheap-hot");
-  EXPECT_EQ(front[1].label, "mid");
-  EXPECT_EQ(front[2].label, "dear-cool");
-}
-
-TEST(Sweep, SingletonAndEmpty) {
-  EXPECT_TRUE(co::pareto_front({}, kMinBoth).empty());
-  const auto one = co::pareto_front({pt("only", 3, 3)}, kMinBoth);
-  ASSERT_EQ(one.size(), 1u);
-  EXPECT_THROW(co::dominates(pt("a", 1, 1), pt("b", 2, 2), {}), std::invalid_argument);
-}
-
-TEST(Sweep, Sweep1dLabelsAndValues) {
-  const auto pts = co::sweep_1d("pitch", {20, 35, 50}, [](double v) {
-    return std::map<std::string, double>{{"area", v * v}};
-  });
-  ASSERT_EQ(pts.size(), 3u);
-  EXPECT_EQ(pts[1].label, "pitch=35");
-  EXPECT_DOUBLE_EQ(pts[2].metric("area"), 2500.0);
-  EXPECT_THROW(pts[0].metric("nonexistent"), std::out_of_range);
+  EXPECT_DOUBLE_EQ(b.metric("cost"), 1.0);
+  EXPECT_THROW(a.metric("cost"), std::out_of_range);
 }
