@@ -316,6 +316,40 @@ TEST(DseSpaceTest, KeySeparatesSpecs) {
   EXPECT_EQ(a.key(), a2.key());
 }
 
+// Golden preimage tail and key of a spec whose axis values and constraint
+// bounds need every double spelling: 17 significant digits, exponents,
+// integral values and a subnormal-free tiny bound. The base request renders
+// through the request canonicalization pinned in serve_test.
+TEST(DseSpaceTest, GoldenSearchKeyIsStable) {
+  const auto spec = parse(
+      R"({"space":{"tech":["glass25d","apx"],"system.chiplets":[4,16],)"
+      R"("pnr.aib_duty":[0.1,0.30000000000000004,1e-7],)"
+      R"("pnr.target_freq_hz":{"min":1e9,"max":2e9,"steps":4}},)"
+      R"("base":{"system":{"memory_every":2,"die_scale":1.25}},)"
+      R"("objectives":[{"metric":"power_mW","direction":"min"},)"
+      R"({"metric":"fmax_MHz","direction":"max"}],)"
+      R"("constraints":[{"metric":"cost_usd","min":0.5,"max":123.456},)"
+      R"({"metric":"area_mm2","max":1e300}],)"
+      R"("seed_points":6,"refine_rounds":2,"batch":3,"max_points":70})");
+  const std::string text = spec.canonical_text();
+  const std::string tail = text.substr(text.find("axis."));
+  EXPECT_EQ(tail,
+            "axis.tech=glass25d,apx\n"
+            "axis.system.chiplets=4,16\n"
+            "axis.pnr.aib_duty=0.10000000000000001,0.30000000000000004,9.9999999999999995e-08\n"
+            "axis.pnr.target_freq_hz=1000000000,1333333333.3333333,1666666666.6666665,2000000000\n"
+            "objective.power_mW=min\n"
+            "objective.fmax_MHz=max\n"
+            "constraint.cost_usd=min:0.5,max:123.456\n"
+            "constraint.area_mm2=max:1.0000000000000001e+300\n"
+            "seed_points=6\n"
+            "refine_rounds=2\n"
+            "batch=3\n"
+            "max_points=70\n"
+            "point_events=1\n");
+  EXPECT_EQ(spec.key(), 0xe75d8109278f5752ull) << "0x" << serve::key_hex(spec.key());
+}
+
 TEST(DseSpaceTest, ThermalAndEyeObjectivesEnableStages) {
   const auto spec = parse(
       R"({"space":{"tech":["glass25d"]},)"

@@ -141,6 +141,51 @@ TEST(StageGraphTest, StageKnobTextGoldens) {
   }
 }
 
+// FNV digests of all eight stage keys, in registry order: the default
+// glass25d request, and a 16-die hex glass3d request whose doubles need all
+// 17 significant digits (0.1, 1/3, 1e-7) or an exponent (2.5e9). Keys chain
+// the dependency keys in hex, so these pin the double, integer and key_hex
+// spellings at once.
+TEST(StageGraphTest, StageKeysAreStable) {
+  FlowOptions hex;
+  hex.system.chiplets = 16;
+  hex.system.arrangement = gia::chiplet::Arrangement::Hex;
+  hex.system.die_scale = 1.0 / 3.0;
+  hex.system.power_scale = 0.1;
+  hex.system.pitch_scale = 1.1;
+  hex.pnr.target_freq_hz = 2.5e9;
+  hex.pnr.aib_duty = 1e-7;
+  hex.router.congestion_weight = 2.75;
+  hex.thermal_mesh.logic_power_w = 0.30000000000000004;
+  hex.rollup_activity_scale = 0.7;
+  hex.eye_bits = 96;
+  const struct {
+    const char* name;
+    TechnologyKind tech;
+    FlowOptions opts;
+    std::array<std::uint64_t, stage::kStageCount> key;
+  } cases[] = {
+      {"default glass25d",
+       TechnologyKind::Glass25D,
+       FlowOptions{},
+       {0x065c087d1c9b8b0bull, 0xdd7f0353dd323c7eull, 0x072a3297f804020bull, 0xa19357769728f765ull,
+        0x7865d5c935f50ee8ull, 0x3dc1e6064af88242ull, 0xf98d6b908701f410ull, 0xd54cd1ad84ad8d6aull}},
+      {"16-die hex glass3d",
+       TechnologyKind::Glass3D,
+       hex,
+       {0x55b7fc6086b01095ull, 0x4a5afb8656e5e218ull, 0x0cb9349e87f93b00ull, 0x26bf95b78ad6aac8ull,
+        0x913f5ee1ec4503beull, 0xb4a21fc8db69d887ull, 0x7f7285bf5632a79eull, 0x626c364e55bc6d49ull}},
+  };
+  for (const auto& c : cases) {
+    const stage::StageKeys ks = stage::compute_stage_keys(c.tech, c.opts);
+    std::size_t i = 0;
+    for (const stage::StageInfo& si : stage::registry()) {
+      EXPECT_EQ(ks.of(si.id), c.key[i++]) << c.name << ": " << si.name << " key drifted: 0x"
+                                         << gia::core::canon::key_hex(ks.of(si.id));
+    }
+  }
+}
+
 TEST(StageGraphTest, RegistryIsTopologicalAndParseable) {
   const auto& reg = stage::registry();
   ASSERT_EQ(static_cast<int>(reg.size()), stage::kStageCount);
