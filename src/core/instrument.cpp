@@ -3,8 +3,8 @@
 #include <array>
 #include <atomic>
 #include <cctype>
+#include <charconv>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -285,16 +285,18 @@ std::string RunReport::to_json() const {
 
 namespace {
 
+/// %.3fs, %.3fms or %.1fus: to_chars in fixed format is printf's %.Nf.
 std::string fmt_duration(std::uint64_t ns) {
-  char buf[32];
-  if (ns >= 1000000000ull) {
-    std::snprintf(buf, sizeof buf, "%.3fs", static_cast<double>(ns) * 1e-9);
-  } else if (ns >= 1000000ull) {
-    std::snprintf(buf, sizeof buf, "%.3fms", static_cast<double>(ns) * 1e-6);
-  } else {
-    std::snprintf(buf, sizeof buf, "%.1fus", static_cast<double>(ns) * 1e-3);
-  }
-  return buf;
+  const auto fixed = [](double v, int precision, const char* unit) {
+    char buf[32];
+    std::string s(buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::fixed,
+                                     precision).ptr);
+    return s + unit;
+  };
+  const double x = static_cast<double>(ns);
+  if (ns >= 1000000000ull) return fixed(x * 1e-9, 3, "s");
+  if (ns >= 1000000ull) return fixed(x * 1e-6, 3, "ms");
+  return fixed(x * 1e-3, 1, "us");
 }
 
 void span_text(const SpanSnapshot& s, int depth, std::string& out) {
@@ -321,9 +323,9 @@ std::string RunReport::to_text() const {
   if (!gauges.empty()) {
     out += "gauges:\n";
     for (const auto& [name, v] : gauges) {
-      char buf[40];
-      std::snprintf(buf, sizeof buf, "%.17g", v);
-      out += "  " + name + " = " + buf + "\n";
+      out += "  " + name + " = ";
+      json::append_double(v, out);
+      out += "\n";
     }
   }
   return out;

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cerrno>
-#include <cinttypes>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -11,14 +11,12 @@
 
 namespace gia::core::json {
 
-const Value& Value::at(const std::string& key) const {
-  for (const auto& [k, v] : obj) {
-    if (k == key) return v;
-  }
-  throw std::runtime_error("JSON: missing key \"" + key + "\"");
+const Value& Value::at(std::string_view key) const {
+  if (const Value* v = find(key)) return *v;
+  throw std::runtime_error("JSON: missing key \"" + std::string(key) + "\"");
 }
 
-const Value* Value::find(const std::string& key) const {
+const Value* Value::find(std::string_view key) const {
   for (const auto& [k, v] : obj) {
     if (k == key) return &v;
   }
@@ -303,21 +301,18 @@ void escape(std::string_view s, std::string& out) {
 }
 
 void append_u64(std::uint64_t v, std::string& out) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRIu64, v);
-  out += buf;
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void append_i64(std::int64_t v, std::string& out) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "%" PRId64, v);
-  out += buf;
+  char buf[20];
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
 }
 
 void append_double(double v, std::string& out) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  out += buf;
+  char buf[32];  // %.17g needs at most 24: -d.dddddddddddddddde-ddd
+  out.append(buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general, 17).ptr);
 }
 
 void append_bool(bool v, std::string& out) { out += v ? "true" : "false"; }

@@ -13,12 +13,15 @@
 /// Minimal dependency-free JSON reader/writer shared by the run-report
 /// layer (core/instrument), the result serialization layer (core/serialize)
 /// and the serving protocol (serve/). The writer helpers emit canonical
-/// single-line JSON: numbers via %.17g (doubles round-trip exactly through
+/// single-line JSON: doubles in %.17g (they round-trip exactly through
 /// strtod, so serialize -> parse -> re-serialize is byte-identical), object
-/// keys in emission order, no whitespace. The parser keeps number tokens
-/// verbatim; `Value::as<T>()` is the one place a token becomes a C++ value,
-/// so integers read exactly (no detour through double) and every reader
-/// shares one kind and fit check.
+/// keys in emission order, no whitespace. Numbers are spelled by
+/// std::to_chars: doubles in general format at precision 17, which the
+/// standard defines as printf's %.17g in the C locale, and integers in
+/// decimal; NumberSpellingTest pins both against printf. The parser keeps
+/// number tokens verbatim; `Value::as<T>()` is the one place a token becomes
+/// a C++ value, so integers read exactly (no detour through double) and
+/// every reader shares one kind and fit check.
 
 namespace gia::core::json {
 
@@ -31,9 +34,9 @@ struct Value {
   std::vector<std::pair<std::string, Value>> obj;
 
   /// Object member access; throws std::runtime_error when missing.
-  const Value& at(const std::string& key) const;
+  const Value& at(std::string_view key) const;
   /// Object member lookup; nullptr when missing (optional fields).
-  const Value* find(const std::string& key) const;
+  const Value* find(std::string_view key) const;
 
   /// Checked scalar read; T is bool, double, std::string or any integral
   /// type. Throws std::runtime_error naming `what` (may be empty) when the
@@ -130,7 +133,7 @@ void escape(std::string_view s, std::string& out);
 
 void append_u64(std::uint64_t v, std::string& out);
 void append_i64(std::int64_t v, std::string& out);
-/// Shortest-exact double formatting (%.17g): strtod(output) == v.
+/// The one double spelling of keys and JSON: %.17g, so strtod(output) == v.
 void append_double(double v, std::string& out);
 void append_bool(bool v, std::string& out);
 

@@ -1,6 +1,6 @@
 #pragma once
 
-#include <cstdio>
+#include <charconv>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -272,10 +272,10 @@ struct RowInfo {
 
 namespace detail {
 
+/// %.10g: to_chars in general format at precision 10.
 inline std::string spell(double x) {
   char buf[32];
-  std::snprintf(buf, sizeof buf, "%.10g", x);
-  return buf;
+  return {buf, std::to_chars(buf, buf + sizeof buf, x, std::chars_format::general, 10).ptr};
 }
 
 /// Range check of the rows one stage owns (system rows only while in use).

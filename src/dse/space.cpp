@@ -23,12 +23,6 @@ std::string fmt_g(double v) {
   return buf;
 }
 
-std::string fmt_exact(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
 [[noreturn]] void fail(const std::string& msg) { throw std::runtime_error("search: " + msg); }
 
 /// Every key of `obj` must appear in `allowed` (strict reader contract).
@@ -241,7 +235,7 @@ std::string SearchSpace::canonical_text() const {
     } else {
       for (std::size_t i = 0; i < a.values.size(); ++i) {
         if (i > 0) out.push_back(',');
-        out += fmt_exact(a.values[i]);
+        json::append_double(a.values[i], out);
       }
     }
     out.push_back('\n');
@@ -264,9 +258,15 @@ std::string SearchSpec::canonical_text() const {
     out += "constraint.";
     out += c.metric;
     out.push_back('=');
-    if (c.has_min) out += "min:" + fmt_exact(c.min);
+    if (c.has_min) {
+      out += "min:";
+      json::append_double(c.min, out);
+    }
     if (c.has_min && c.has_max) out.push_back(',');
-    if (c.has_max) out += "max:" + fmt_exact(c.max);
+    if (c.has_max) {
+      out += "max:";
+      json::append_double(c.max, out);
+    }
     out.push_back('\n');
   }
   out += "seed_points=" + std::to_string(seed_points) + "\n";

@@ -5,10 +5,10 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
-#include <thread>
 
 #include "core/json.hpp"
 
@@ -21,7 +21,12 @@ constexpr int kSiteCount = static_cast<int>(Site::kCount);
 struct Registry {
   std::atomic<bool> armed{false};  ///< any site has probability > 0
   std::uint64_t seed = 1;
+  /// The stall's length and whether its site is armed, both under
+  /// `stall_mu`: a configure() that disarms the site wakes every stall.
+  std::mutex stall_mu;
+  std::condition_variable stall_cv;
   int stall_ms = 10;
+  bool stall_armed = false;
   /// Probability scaled to 2^64 so the decision is one integer compare.
   std::uint64_t threshold[kSiteCount] = {};
   std::atomic<std::uint64_t> n_trials[kSiteCount] = {};
@@ -56,7 +61,7 @@ bool parse_site(const std::string& key, Site* out) noexcept {
 
 void apply_spec(const std::string& spec) {
   g_reg.seed = 1;
-  g_reg.stall_ms = 10;
+  int stall_ms = 10;
   for (int i = 0; i < kSiteCount; ++i) g_reg.threshold[i] = 0;
   reset_counters();
 
@@ -95,7 +100,7 @@ void apply_spec(const std::string& spec) {
     if (colon != std::string::npos) {
       if (site == Site::SchedStall) {
         const int ms = std::atoi(val.c_str() + colon + 1);
-        if (ms > 0) g_reg.stall_ms = ms;
+        if (ms > 0) stall_ms = ms;
       } else {
         std::fprintf(stderr, "GIA_FAULTS: %s takes no parameter, ignoring \":%s\"\n",
                      key.c_str(), val.c_str() + colon + 1);
@@ -113,6 +118,12 @@ void apply_spec(const std::string& spec) {
     any = any || p > 0;
   }
   g_reg.armed.store(any, std::memory_order_release);
+  {
+    const std::lock_guard<std::mutex> lk(g_reg.stall_mu);
+    g_reg.stall_ms = stall_ms;
+    g_reg.stall_armed = g_reg.threshold[static_cast<int>(Site::SchedStall)] != 0;
+  }
+  g_reg.stall_cv.notify_all();
 }
 
 void init_from_env() {
@@ -219,9 +230,10 @@ int cache_write_error() noexcept {
 }
 
 void maybe_stall() {
-  if (enabled() && should_inject(Site::SchedStall)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(g_reg.stall_ms));
-  }
+  if (!enabled() || !should_inject(Site::SchedStall)) return;
+  std::unique_lock<std::mutex> lk(g_reg.stall_mu);
+  g_reg.stall_cv.wait_for(lk, std::chrono::milliseconds(g_reg.stall_ms),
+                          [] { return !g_reg.stall_armed; });
 }
 
 }  // namespace gia::serve::fault

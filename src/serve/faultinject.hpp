@@ -24,7 +24,8 @@
 ///   cache_write_enospc=P    disk-cache writes fail as if the disk were full
 ///   cache_write_eio=P       disk-cache writes fail with an I/O error
 ///   sched_stall=P[:MS]      a scheduler worker sleeps MS ms (default 10)
-///                           before running a job
+///                           before running a job; disarming the site
+///                           wakes it
 ///
 /// P is a probability in [0,1]. Decisions are deterministic: the k-th trial
 /// at a site depends only on (seed, site, k), so a torture run replays
@@ -77,7 +78,8 @@ ssize_t send(int fd, const void* buf, std::size_t len, int flags) noexcept;
 int cache_write_error() noexcept;
 
 /// Scheduler worker hook: sleeps the configured stall when the SchedStall
-/// site fires. Call without holding locks.
+/// site fires, returning early once a configure() disarms the site. Call
+/// without holding locks.
 void maybe_stall();
 
 }  // namespace gia::serve::fault

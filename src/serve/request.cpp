@@ -64,7 +64,7 @@ struct JsonWriter {
 struct JsonReader {
   struct Frame {
     const json::Value* obj = nullptr;  ///< null: section absent, all defaults
-    std::vector<std::string> consumed;
+    std::vector<const char*> consumed;  ///< knob-table names: static strings
   };
   std::vector<Frame> stack;
   knobs::Path path;
@@ -78,7 +78,7 @@ struct JsonReader {
     Frame& f = stack.back();
     if (f.obj == nullptr) return nullptr;
     const json::Value* v = f.obj->find(name);
-    if (v != nullptr) f.consumed.emplace_back(name);
+    if (v != nullptr) f.consumed.push_back(name);
     return v;
   }
   /// Enters every section: an absent one reads as all defaults, and an

@@ -126,7 +126,8 @@ serve::FlowRequest full_knob_request() {
 
 /// Disarms every fault site when the scope ends, also when a failed
 /// assertion returns early. Declare it before the scheduler, so the
-/// scheduler's workers have stopped by the time it disarms.
+/// scheduler's workers have stopped by the time it disarms; a stall the
+/// test ends early is declared after it instead (disarming wakes a stall).
 struct FaultScope {
   FaultScope() = default;
   explicit FaultScope(const char* spec) { serve::fault::configure(spec); }
@@ -766,10 +767,14 @@ TEST(ServeSchedulerTest, DeepDependencyChainCancelsIteratively) {
   // Pin the single worker: the stall fires once the blocker starts, giving
   // this thread a deterministic window to build and cancel the chain (the
   // root additionally depends on the blocker, so it cannot start early).
-  serve::fault::configure("sched_stall=1:8000");
+  // The stall is long enough for a sanitized chain build; disarming it
+  // right after the cancel wakes the worker. Declared after the scheduler,
+  // the guard also disarms before the scheduler joins if an assertion
+  // returns early.
   serve::JobScheduler::Options opts;
   opts.workers = 1;
   serve::JobScheduler sched(opts);
+  const FaultScope stall("sched_stall=1:120000");
 
   const auto blocker = sched.submit(request_for(tech::TechnologyKind::Glass25D, 1));
   serve::JobScheduler::SubmitOptions after;
@@ -786,7 +791,7 @@ TEST(ServeSchedulerTest, DeepDependencyChainCancelsIteratively) {
   }
 
   ASSERT_TRUE(sched.cancel(root.job_id()));  // must not overflow the stack
-  serve::fault::configure("");
+  serve::fault::configure("");               // ends the blocker's stall
   EXPECT_EQ(root.wait(), serve::JobTicket::Status::Cancelled);
   EXPECT_EQ(chain.front().wait(), serve::JobTicket::Status::Cancelled);
   EXPECT_EQ(chain.back().wait(), serve::JobTicket::Status::Cancelled);
