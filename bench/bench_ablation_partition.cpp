@@ -22,8 +22,8 @@ void print_ablation() {
   fm_opts.fm.target_memory_fraction = 0.18;
   fm_opts.fm.balance_tolerance = 0.05;
 
-  const auto hier = gia::core::run_full_flow(th::TechnologyKind::Glass25D, hier_opts);
-  const auto flat = gia::core::run_full_flow(th::TechnologyKind::Glass25D, fm_opts);
+  const auto hier = gia::core::stage::execute_flow(th::TechnologyKind::Glass25D, hier_opts);
+  const auto flat = gia::core::stage::execute_flow(th::TechnologyKind::Glass25D, fm_opts);
 
   Table t("Ablation -- hierarchical vs flattened (FM) chipletization, Glass 2.5D");
   t.row({"metric", "hierarchical (paper)", "flattened FM"});

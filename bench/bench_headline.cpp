@@ -7,6 +7,7 @@
 #include <iostream>
 
 #include "core/headline.hpp"
+#include "core/stagegraph.hpp"
 
 namespace {
 
@@ -40,7 +41,7 @@ void print_headlines() {
 
 void BM_full_flow(benchmark::State& state) {
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gia::core::run_full_flow(th::TechnologyKind::Glass3D));
+    benchmark::DoNotOptimize(gia::core::stage::execute_flow(th::TechnologyKind::Glass3D));
   }
 }
 BENCHMARK(BM_full_flow)->Unit(benchmark::kMillisecond)->Iterations(2);
@@ -50,7 +51,7 @@ void BM_full_flow_with_analyses(benchmark::State& state) {
   opts.with_eyes = true;
   opts.with_thermal = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(gia::core::run_full_flow(th::TechnologyKind::Glass3D, opts));
+    benchmark::DoNotOptimize(gia::core::stage::execute_flow(th::TechnologyKind::Glass3D, opts));
   }
 }
 BENCHMARK(BM_full_flow_with_analyses)->Unit(benchmark::kMillisecond)->Iterations(2);

@@ -114,7 +114,7 @@ int main() {
   core::stage::set_stage_cache_enabled(false);
   identical &= scale("flow_grid16", [&] {
     return core::technology_result_to_json(
-        core::run_full_flow(tech::TechnologyKind::Glass25D, grid16));
+        core::stage::execute_flow(tech::TechnologyKind::Glass25D, grid16));
   });
   core::stage::set_stage_cache_enabled(true);
 

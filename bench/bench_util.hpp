@@ -9,10 +9,10 @@
 #include <map>
 #include <string>
 
-#include "core/flow.hpp"
 #include "core/instrument.hpp"
 #include "core/parallel.hpp"
 #include "core/report.hpp"
+#include "core/stagegraph.hpp"
 #include "tech/library.hpp"
 
 /// Shared infrastructure for the per-table/figure benchmark binaries: each
@@ -39,7 +39,7 @@ inline const core::TechnologyResult& flow_of(tech::TechnologyKind k, bool eyes =
     core::FlowOptions opts;
     opts.with_eyes = eyes;
     opts.with_thermal = thermal;
-    it = cache.emplace(key, core::run_full_flow(k, opts)).first;
+    it = cache.emplace(key, core::stage::execute_flow(k, opts)).first;
   }
   return it->second;
 }
@@ -69,14 +69,8 @@ inline void print_json_line(const char* bench_path, double wall_s,
   if (!extra.empty()) breakdown += "," + extra;
   if (core::instrument::enabled()) {
     const auto rep = core::instrument::RunReport::capture();
-    breakdown += ",\"spans\":" + core::instrument::span_tree_json(rep.root) + ",\"counters\":{";
-    bool first = true;
-    for (const auto& [cname, v] : rep.counters) {
-      if (!first) breakdown += ",";
-      first = false;
-      breakdown += "\"" + cname + "\":" + std::to_string(v);
-    }
-    breakdown += "}";
+    breakdown += ",\"spans\":" + core::instrument::span_tree_json(rep.root) +
+                 ",\"counters\":" + core::instrument::counters_json(rep.counters);
   }
   std::printf("{\"bench\":\"%s\",\"wall_s\":%.6f,\"threads\":%d,\"max_rss_kb\":%ld%s}\n", name,
               wall_s, core::thread_count(), max_rss_kb(), breakdown.c_str());

@@ -5,9 +5,9 @@
 
 #include <iostream>
 
-#include "core/flow.hpp"
 #include "core/headline.hpp"
 #include "core/report.hpp"
+#include "core/stagegraph.hpp"
 #include "tech/library.hpp"
 
 using namespace gia;
@@ -21,7 +21,7 @@ int main() {
   std::vector<core::TechnologyResult> results;
   for (auto k : tech::table_order()) {
     std::cerr << "running flow: " << tech::to_string(k) << "...\n";
-    results.push_back(core::run_full_flow(k, opts));
+    results.push_back(core::stage::execute_flow(k, opts));
   }
   const auto mono = core::run_monolithic_reference(opts);
 

@@ -12,12 +12,12 @@
 #include <vector>
 
 #include "chiplet/system.hpp"
-#include "core/flow.hpp"
 #include "core/instrument.hpp"
 #include "core/knobs.hpp"
 #include "core/json.hpp"
 #include "core/links.hpp"
 #include "core/parallel.hpp"
+#include "core/stagegraph.hpp"
 #include "core/svg_export.hpp"
 #include "cost/cost_model.hpp"
 #include "netlist/io.hpp"
@@ -299,7 +299,7 @@ int main(int argc, char** argv) {
     opts.system.resolve_arrangement();
     if (!ok) return usage();
     try {
-      const auto r = core::run_full_flow(kind, opts);
+      const auto r = core::stage::execute_flow(kind, opts);
       if (!opts.system.is_legacy()) {
         std::printf("%s: %zu chiplets (%s), %zu die-to-die lanes\n",
                     r.technology.name.c_str(), r.interposer.floorplan.dies.size(),

@@ -8,7 +8,7 @@
 
 #include <cstdio>
 
-#include "core/flow.hpp"
+#include "core/stagegraph.hpp"
 #include "core/sweep.hpp"
 #include "dse/pareto.hpp"
 #include "dse/search.hpp"
@@ -24,7 +24,7 @@ int main() {
   std::vector<core::DesignPoint> points;
   for (auto k : tech::table_order()) {
     std::fprintf(stderr, "evaluating %s...\n", tech::to_string(k));
-    const auto r = core::run_full_flow(k, opts);
+    const auto r = core::stage::execute_flow(k, opts);
     points.push_back({tech::to_string(k), dse::metrics_of(r)});
   }
 

@@ -2,15 +2,15 @@
 /// technology (the paper's Glass 3D "5.5D" design) and print the headline
 /// results. This is the ten-line tour of the library:
 ///
-///   FlowOptions -> run_full_flow(kind) -> TechnologyResult
+///   FlowOptions -> stage::execute_flow(kind) -> TechnologyResult
 ///
 /// Build & run:  ./build/examples/quickstart [glass3d|glass25d|si25d|si3d|shinko|apx]
 
 #include <cstdio>
 #include <cstring>
 
-#include "core/flow.hpp"
 #include "core/report.hpp"
+#include "core/stagegraph.hpp"
 #include "tech/library.hpp"
 
 using namespace gia;
@@ -38,7 +38,7 @@ int main(int argc, char** argv) {
   core::FlowOptions opts;
   opts.with_eyes = true;
   opts.with_thermal = true;
-  const auto r = core::run_full_flow(kind, opts);
+  const auto r = core::stage::execute_flow(kind, opts);
 
   std::printf("Chiplet/interposer co-design flow: %s\n", r.technology.name.c_str());
   std::printf("  architecture : 2-tile OpenPiton-class SoC, %d inter-tile wires after SerDes\n",

@@ -1,19 +1,8 @@
 #include "core/flow.hpp"
 
-#include "core/instrument.hpp"
-#include "core/stagegraph.hpp"
 #include "netlist/cell_library.hpp"
 
 namespace gia::core {
-
-TechnologyResult run_full_flow(tech::TechnologyKind kind, const FlowOptions& opts) {
-  // The flow itself lives in core/stagegraph.cpp as an explicit stage DAG
-  // (per-stage content addresses, artifact cache, dependency-driven stage
-  // scheduling); this entry point is the DAG execution plus run accounting.
-  GIA_SPAN("flow/full_flow");
-  instrument::counter_add(instrument::Counter::FlowRuns);
-  return stage::execute_flow(kind, opts);
-}
 
 namespace {
 

@@ -17,11 +17,11 @@
 #include "thermal/analysis.hpp"
 
 /// \file flow.hpp
-/// The full chiplet/interposer co-design flow of Fig 4, as one call:
-/// netlist generation -> SerDes insertion -> hierarchical partitioning ->
-/// chiplet PnR -> interposer design -> SI / PI / thermal analysis ->
-/// full-chip rollup. One TechnologyResult is one column of the paper's
-/// comparison tables.
+/// The full chiplet/interposer co-design flow of Fig 4 (run by one call,
+/// `stage::execute_flow`): netlist generation ->
+/// SerDes insertion -> hierarchical partitioning -> chiplet PnR ->
+/// interposer design -> SI / PI / thermal analysis -> full-chip rollup. One
+/// TechnologyResult is one column of the paper's comparison tables.
 ///
 /// Internally the flow is an explicit stage DAG (core/stagegraph.hpp) with
 /// per-stage content-addressed artifacts: repeated evaluations that differ
@@ -91,8 +91,6 @@ struct TechnologyResult {
   /// Do the off-chip link delays fit inside the pipelined clock period?
   bool link_timing_met = false;
 };
-
-TechnologyResult run_full_flow(tech::TechnologyKind kind, const FlowOptions& opts = {});
 
 /// The 2D monolithic reference row of Table IV: the same two tiles as one
 /// die, no SerDes, no AIB drivers, no interposer.

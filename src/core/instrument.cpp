@@ -2,7 +2,6 @@
 
 #include <array>
 #include <atomic>
-#include <cctype>
 #include <charconv>
 #include <chrono>
 #include <cstdio>
@@ -10,7 +9,6 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
-#include <stdexcept>
 
 #include "core/json.hpp"
 #include "core/parallel.hpp"
@@ -266,14 +264,20 @@ std::string span_tree_json(const SpanSnapshot& s) {
   return out;
 }
 
+std::string counters_json(const std::vector<std::pair<std::string, std::uint64_t>>& counters) {
+  std::string out = "{";
+  for (const auto& [name, v] : counters) json::member(name, v, out);
+  out.push_back('}');
+  return out;
+}
+
 std::string RunReport::to_json() const {
   std::string out = "{\"run_report\":{";
   json::member("compiler", compiler, out);
   json::member("build_type", build_type, out);
   json::member("threads", threads, out);
-  out += ",\"counters\":{";
-  for (const auto& [name, v] : counters) json::member(name, v, out);
-  out += "},\"gauges\":{";
+  out += ",\"counters\":" + counters_json(counters);
+  out += ",\"gauges\":{";
   for (const auto& [name, v] : gauges) json::member(name, v, out);
   out += "},\"spans\":";
   span_json(root, out);
@@ -328,38 +332,6 @@ std::string RunReport::to_text() const {
       out += "\n";
     }
   }
-  return out;
-}
-
-// --- JSON parsing (round-trips exactly what to_json emits) ----------------
-
-namespace {
-
-SpanSnapshot span_from_json(const json::Value& v) {
-  SpanSnapshot s;
-  s.name = v.at("name").as<std::string>("name");
-  s.count = v.at("count").as<std::uint64_t>("count");
-  s.total_ns = v.at("total_ns").as<std::uint64_t>("total_ns");
-  s.min_ns = v.at("min_ns").as<std::uint64_t>("min_ns");
-  s.max_ns = v.at("max_ns").as<std::uint64_t>("max_ns");
-  for (const auto& c : v.at("children").arr) s.children.push_back(span_from_json(c));
-  return s;
-}
-
-}  // namespace
-
-RunReport RunReport::from_json(const std::string& text) {
-  const json::Value top = json::parse(text);
-  const json::Value& rr = top.at("run_report");
-  RunReport out;
-  out.compiler = rr.at("compiler").as<std::string>("compiler");
-  out.build_type = rr.at("build_type").as<std::string>("build_type");
-  out.threads = rr.at("threads").as<int>("threads");
-  for (const auto& [k, v] : rr.at("counters").obj) {
-    out.counters.emplace_back(k, v.as<std::uint64_t>(k));
-  }
-  for (const auto& [k, v] : rr.at("gauges").obj) out.gauges.emplace_back(k, v.as<double>(k));
-  out.root = span_from_json(rr.at("spans"));
   return out;
 }
 

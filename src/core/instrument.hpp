@@ -119,8 +119,8 @@ struct SpanSnapshot {
   std::vector<SpanSnapshot> children;
 };
 
-/// Snapshot of the whole registry plus build/thread metadata. `capture()`
-/// and `from_json(to_json())` produce equal reports (JSON round-trip).
+/// Snapshot of the whole registry plus build/thread metadata, written out
+/// as JSON or as a text tree (nothing reads either back).
 struct RunReport {
   std::string compiler;    ///< e.g. "gcc 12.2.0"
   std::string build_type;  ///< CMake build type (or "unknown")
@@ -130,9 +130,6 @@ struct RunReport {
   SpanSnapshot root;  ///< synthetic "root" node; real spans are its children
 
   static RunReport capture();
-  /// Parse a report previously produced by `to_json`. Throws
-  /// std::runtime_error on malformed input.
-  static RunReport from_json(const std::string& json);
   /// Canonical single-line JSON (`{"run_report":{...}}`).
   std::string to_json() const;
   /// Human-readable indented call tree + counters + gauges.
@@ -142,6 +139,9 @@ struct RunReport {
 /// Serialise one span subtree as JSON (the `"spans"` value of `to_json`);
 /// exposed so bench JSON lines can embed per-stage breakdowns.
 std::string span_tree_json(const SpanSnapshot& s);
+/// Serialise counters as one JSON object (the `"counters"` value of
+/// `to_json`); bench JSON lines embed it the same way.
+std::string counters_json(const std::vector<std::pair<std::string, std::uint64_t>>& counters);
 
 /// When tracing is enabled, capture a report and write it to the path in
 /// `GIA_TRACE_FILE` (stdout when unset) -- JSON by default, the text tree

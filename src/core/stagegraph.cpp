@@ -12,6 +12,7 @@
 
 #include "core/canon.hpp"
 #include "core/content_cache.hpp"
+#include "core/counters.hpp"
 #include "core/instrument.hpp"
 #include "core/json.hpp"
 #include "core/knobs.hpp"
@@ -90,8 +91,6 @@ std::array<std::string, kStageCount> stage_knob_texts(const FlowOptions& o) {
 
 // --- Process-wide stage-artifact cache: a ContentCache of type-erased
 // artifact pointers tagged by stage, so evictions count per stage.
-// Counters are always live: the serving layer reports them with tracing
-// off.
 
 using ArtifactPtr = std::shared_ptr<const void>;
 
@@ -101,7 +100,7 @@ class StageCache {
 
   StageCache()
       : store_(kDefaultCapacity, 8, [this](int tag) {
-          evictions_[static_cast<std::size_t>(tag)].fetch_add(1, std::memory_order_relaxed);
+          counts_[static_cast<std::size_t>(tag)].evictions.fetch_add(1, std::memory_order_relaxed);
         }) {
     const char* env = std::getenv("GIA_STAGE_CACHE");
     if (env != nullptr && env[0] != '\0') {
@@ -130,17 +129,17 @@ class StageCache {
     ArtifactPtr art = store_.get_or_compute(
         key, idx(id),
         [&] {
-          count(misses_, id);
+          counts(id).misses.fetch_add(1, std::memory_order_relaxed);
           return compute();
         },
         &oc);
     switch (oc) {
       case Store::Outcome::Hit:
-        count(hits_, id);
+        counts(id).hits.fetch_add(1, std::memory_order_relaxed);
         *outcome = StageRunRecord::Outcome::CacheHit;
         break;
       case Store::Outcome::Coalesced:
-        count(coalesced_, id);
+        counts(id).coalesced.fetch_add(1, std::memory_order_relaxed);
         *outcome = StageRunRecord::Outcome::Coalesced;
         break;
       case Store::Outcome::Computed:
@@ -154,22 +153,14 @@ class StageCache {
     StageCacheStats s;
     s.enabled = enabled();
     s.capacity = store_.capacity();
-    for (std::size_t i = 0; i < static_cast<std::size_t>(kStageCount); ++i) {
-      s.stage[i].hits = hits_[i].load();
-      s.stage[i].misses = misses_[i].load();
-      s.stage[i].evictions = evictions_[i].load();
-      s.stage[i].coalesced = coalesced_[i].load();
-    }
+    for (std::size_t i = 0; i < counts_.size(); ++i) counters::load(counts_[i], s.stage[i]);
     s.entries = store_.size();
     return s;
   }
 
   void clear() {
     store_.clear();
-    for (auto& c : hits_) c.store(0);
-    for (auto& c : misses_) c.store(0);
-    for (auto& c : evictions_) c.store(0);
-    for (auto& c : coalesced_) c.store(0);
+    for (auto& set : counts_) Counters::walk([](const char*, counters::Live& c) { c.store(0); }, set);
   }
 
   /// Passive residency probe (see stage_cache_resident).
@@ -181,12 +172,10 @@ class StageCache {
   void set_capacity(std::size_t n) { store_.set_capacity(n); }
 
  private:
-  using CounterArray = std::array<std::atomic<std::uint64_t>, kStageCount>;
-  static void count(CounterArray& arr, StageId id) {
-    arr[static_cast<std::size_t>(idx(id))].fetch_add(1, std::memory_order_relaxed);
-  }
+  using Counters = StageCacheStats::CounterSet<counters::Live>;
+  Counters& counts(StageId id) { return counts_[static_cast<std::size_t>(idx(id))]; }
 
-  CounterArray hits_{}, misses_{}, evictions_{}, coalesced_{};
+  std::array<Counters, kStageCount> counts_{};
   ContentCache<void> store_;
   std::atomic<bool> enabled_{true};
 };
@@ -197,7 +186,7 @@ StageCache& cache() {
 }
 
 // --- Stage bodies. Each is the exact computation the former monolithic
-// run_full_flow performed, reading only its declared inputs.
+// flow function performed, reading only its declared inputs.
 
 struct Ctx {
   tech::TechnologyKind kind;
@@ -520,6 +509,8 @@ std::uint64_t StageRunRecord::misses() const {
 
 TechnologyResult execute_flow(tech::TechnologyKind kind, const FlowOptions& opts,
                               StageRunRecord* record) {
+  GIA_SPAN("flow/full_flow");
+  instrument::counter_add(instrument::Counter::FlowRuns);
   if (kind == tech::TechnologyKind::Monolithic2D) {
     throw std::invalid_argument("use run_monolithic_reference for the 2D reference");
   }
@@ -576,25 +567,11 @@ TechnologyResult execute_flow(tech::TechnologyKind kind, const FlowOptions& opts
   return r;
 }
 
-std::uint64_t StageCacheStats::total_hits() const {
-  std::uint64_t n = 0;
-  for (const PerStage& s : stage) n += s.hits;
-  return n;
-}
-std::uint64_t StageCacheStats::total_misses() const {
-  std::uint64_t n = 0;
-  for (const PerStage& s : stage) n += s.misses;
-  return n;
-}
-std::uint64_t StageCacheStats::total_evictions() const {
-  std::uint64_t n = 0;
-  for (const PerStage& s : stage) n += s.evictions;
-  return n;
-}
-std::uint64_t StageCacheStats::total_coalesced() const {
-  std::uint64_t n = 0;
-  for (const PerStage& s : stage) n += s.coalesced;
-  return n;
+StageCacheStats::PerStage StageCacheStats::total() const {
+  PerStage t;
+  for (const PerStage& ps : stage)
+    PerStage::walk([](const char*, std::uint64_t& sum, std::uint64_t n) { sum += n; }, t, ps);
+  return t;
 }
 
 StageCacheStats stage_cache_stats() { return cache().stats(); }
@@ -604,21 +581,10 @@ std::string stage_cache_stats_json(const StageCacheStats& s) {
   json::member("enabled", s.enabled, out);
   json::member("entries", s.entries, out);
   json::member("capacity", s.capacity, out);
-  json::member("hits", s.total_hits(), out);
-  json::member("misses", s.total_misses(), out);
-  json::member("evictions", s.total_evictions(), out);
-  json::member("coalesced", s.total_coalesced(), out);
+  counters::append_members(s.total(), out);
   out += ",\"stages\":{";
-  for (const StageInfo& si : kRegistry) {
-    const auto& ps = s.stage[static_cast<std::size_t>(idx(si.id))];
-    json::key(si.name, out);
-    out.push_back('{');
-    json::member("hits", ps.hits, out);
-    json::member("misses", ps.misses, out);
-    json::member("evictions", ps.evictions, out);
-    json::member("coalesced", ps.coalesced, out);
-    out.push_back('}');
-  }
+  for (const StageInfo& si : kRegistry)
+    counters::append_object(si.name, s.stage[static_cast<std::size_t>(idx(si.id))], out);
   out += "}}";
   return out;
 }

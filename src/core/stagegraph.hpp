@@ -14,7 +14,7 @@
 /// \file stagegraph.hpp
 /// The co-design flow of Fig 4 as an explicit stage DAG. Each stage
 /// declares its upstream artifacts and the subset of `FlowOptions` knobs it
-/// reads, and produces one artifact struct; `run_full_flow` is a thin DAG
+/// reads, and produces one artifact struct; `execute_flow` is a DAG
 /// execution over this registry (byte-identical `TechnologyResult` to the
 /// former monolithic function).
 ///
@@ -45,6 +45,9 @@
 /// reads only finished upstream artifacts and writes only its own, so the
 /// repo-wide determinism contract holds: output is byte-identical at any
 /// thread count and with the cache on or off.
+///
+/// Counters: declared in `StageCacheStats::CounterSet`, one set per stage; a
+/// counter's row in its `walk` is its only name (core/counters.hpp).
 
 namespace gia::core::stage {
 
@@ -162,32 +165,43 @@ struct StageRunRecord {
   std::uint64_t misses() const;
 };
 
-/// Run the flow DAG for one technology. Byte-identical to the pre-stage
-/// monolithic `run_full_flow` at any thread count and any cache state.
+/// Run the full flow for one technology (span `flow/full_flow`, trace
+/// counter `FlowRuns`), byte-identical at any thread count and cache state.
 /// Fills `record` (when non-null) with the per-stage cache outcomes.
 /// Throws std::invalid_argument for Monolithic2D (use
 /// `run_monolithic_reference`).
-TechnologyResult execute_flow(tech::TechnologyKind kind, const FlowOptions& opts,
+TechnologyResult execute_flow(tech::TechnologyKind kind, const FlowOptions& opts = {},
                               StageRunRecord* record = nullptr);
 
 // --- Process-wide stage-artifact cache controls and statistics.
 
 struct StageCacheStats {
-  struct PerStage {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t coalesced = 0;
+  template <typename C>
+  struct CounterSet {
+    C hits{};
+    C misses{};
+    C evictions{};
+    C coalesced{};
+
+    static void walk(auto&& v, auto&... s) {
+      v("hits", s.hits...);
+      v("misses", s.misses...);
+      v("evictions", s.evictions...);
+      v("coalesced", s.coalesced...);
+    }
   };
+  using PerStage = CounterSet<std::uint64_t>;
   std::array<PerStage, kStageCount> stage{};
   std::size_t entries = 0;   ///< current artifacts held across shards
   std::size_t capacity = 0;  ///< configured entry bound
   bool enabled = false;
 
-  std::uint64_t total_hits() const;
-  std::uint64_t total_misses() const;
-  std::uint64_t total_evictions() const;
-  std::uint64_t total_coalesced() const;
+  /// Every counter summed over the stages.
+  PerStage total() const;
+  std::uint64_t total_hits() const { return total().hits; }
+  std::uint64_t total_misses() const { return total().misses; }
+  std::uint64_t total_evictions() const { return total().evictions; }
+  std::uint64_t total_coalesced() const { return total().coalesced; }
 };
 
 StageCacheStats stage_cache_stats();

@@ -22,10 +22,9 @@ namespace fs = std::filesystem;
 struct ResultCache::Impl {
   explicit Impl(const Config& cfg)
       : lru(cfg.capacity, cfg.shards,
-            [this](int) { evictions.fetch_add(1, std::memory_order_relaxed); }) {}
+            [this](int) { counts.evictions.fetch_add(1, std::memory_order_relaxed); }) {}
 
-  std::atomic<std::uint64_t> hits{0}, disk_hits{0}, misses{0}, insertions{0}, evictions{0},
-      disk_writes{0}, disk_errors{0};
+  CounterSet<core::counters::Live> counts;
   core::ContentCache<core::TechnologyResult> lru;
   std::string dir;  ///< empty = disk disabled
 
@@ -33,7 +32,7 @@ struct ResultCache::Impl {
 
   /// Store in memory only (disk hits are promoted through here too).
   void remember(std::uint64_t key, const ResultPtr& result) {
-    if (lru.put(key, result)) insertions.fetch_add(1, std::memory_order_relaxed);
+    if (lru.put(key, result)) counts.insertions.fetch_add(1, std::memory_order_relaxed);
   }
 };
 
@@ -61,7 +60,7 @@ ResultCache::~ResultCache() = default;
 
 ResultCache::ResultPtr ResultCache::get(std::uint64_t key) {
   if (ResultPtr hit = impl_->lru.get(key)) {
-    impl_->hits.fetch_add(1, std::memory_order_relaxed);
+    impl_->counts.hits.fetch_add(1, std::memory_order_relaxed);
     return hit;
   }
 
@@ -75,22 +74,22 @@ ResultCache::ResultPtr ResultCache::get(std::uint64_t key) {
             std::make_shared<const core::TechnologyResult>(
                 core::technology_result_from_json(buf.str()));
         impl_->remember(key, result);
-        impl_->hits.fetch_add(1, std::memory_order_relaxed);
-        impl_->disk_hits.fetch_add(1, std::memory_order_relaxed);
+        impl_->counts.hits.fetch_add(1, std::memory_order_relaxed);
+        impl_->counts.disk_hits.fetch_add(1, std::memory_order_relaxed);
         return result;
       } catch (const std::exception& e) {
         // Corrupt disk entries degrade to a miss (the flow re-runs and
         // overwrites the entry); they never fail the request.
         std::fprintf(stderr, "serve cache: discarding corrupt entry %s (%s)\n",
                      impl_->path_of(key).c_str(), e.what());
-        impl_->disk_errors.fetch_add(1, std::memory_order_relaxed);
+        impl_->counts.disk_errors.fetch_add(1, std::memory_order_relaxed);
         std::error_code ec;
         fs::remove(impl_->path_of(key), ec);
       }
     }
   }
 
-  impl_->misses.fetch_add(1, std::memory_order_relaxed);
+  impl_->counts.misses.fetch_add(1, std::memory_order_relaxed);
   return nullptr;
 }
 
@@ -108,7 +107,7 @@ void ResultCache::put(std::uint64_t key, ResultPtr result) {
     if (const int fault_errno = fault::cache_write_error()) {
       std::fprintf(stderr, "serve cache: injected write failure for %s (%s)\n", path.c_str(),
                    std::strerror(fault_errno));
-      impl_->disk_errors.fetch_add(1, std::memory_order_relaxed);
+      impl_->counts.disk_errors.fetch_add(1, std::memory_order_relaxed);
       return;
     }
     bool written = false;
@@ -125,7 +124,7 @@ void ResultCache::put(std::uint64_t key, ResultPtr result) {
     if (written) {
       fs::rename(tmp, path, ec);
       if (!ec) {
-        impl_->disk_writes.fetch_add(1, std::memory_order_relaxed);
+        impl_->counts.disk_writes.fetch_add(1, std::memory_order_relaxed);
         return;
       }
       std::fprintf(stderr, "serve cache: cannot publish %s (%s), serving from memory\n",
@@ -133,7 +132,7 @@ void ResultCache::put(std::uint64_t key, ResultPtr result) {
     } else {
       std::fprintf(stderr, "serve cache: cannot write %s, serving from memory\n", tmp.c_str());
     }
-    impl_->disk_errors.fetch_add(1, std::memory_order_relaxed);
+    impl_->counts.disk_errors.fetch_add(1, std::memory_order_relaxed);
     fs::remove(tmp, ec);
   }
 }
@@ -142,13 +141,7 @@ ResultCache::ResultPtr ResultCache::peek(std::uint64_t key) const { return impl_
 
 ResultCache::Stats ResultCache::stats() const {
   Stats s;
-  s.hits = impl_->hits.load(std::memory_order_relaxed);
-  s.disk_hits = impl_->disk_hits.load(std::memory_order_relaxed);
-  s.misses = impl_->misses.load(std::memory_order_relaxed);
-  s.insertions = impl_->insertions.load(std::memory_order_relaxed);
-  s.evictions = impl_->evictions.load(std::memory_order_relaxed);
-  s.disk_writes = impl_->disk_writes.load(std::memory_order_relaxed);
-  s.disk_errors = impl_->disk_errors.load(std::memory_order_relaxed);
+  core::counters::load(impl_->counts, s);
   s.entries = impl_->lru.size();
   return s;
 }

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "core/counters.hpp"
 #include "core/flow.hpp"
 
 /// \file cache.hpp
@@ -19,6 +20,9 @@
 /// `<dir>/<16-hex-key>.json` (atomic tmp+rename), and a memory miss falls
 /// back to parsing that file -- so a restarted daemon serves its persisted
 /// history as disk hits. Disk entries are not LRU-bounded.
+///
+/// Counters: declared in `ResultCache::CounterSet`; a counter's row in its
+/// `walk` is its only name (core/counters.hpp).
 
 namespace gia::serve {
 
@@ -34,18 +38,31 @@ class ResultCache {
     std::string disk_dir;
   };
 
-  struct Stats {
-    std::uint64_t hits = 0;       ///< served from memory
-    std::uint64_t disk_hits = 0;  ///< served from the disk store (subset of hits)
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t disk_writes = 0;
+  template <typename C>
+  struct CounterSet {
+    C hits{};       ///< served from memory
+    C disk_hits{};  ///< served from the disk store (subset of hits)
+    C misses{};
+    C insertions{};
+    C evictions{};
+    C disk_writes{};
     /// Failed disk writes plus corrupt entries discarded on read. The cache
     /// degrades to memory-only for the affected key; requests never fail.
-    std::uint64_t disk_errors = 0;
-    std::size_t entries = 0;  ///< current in-memory entry count
+    C disk_errors{};
+    core::counters::Gauge<C, std::size_t> entries{};  ///< current in-memory entry count
+
+    static void walk(auto&& v, auto&... s) {
+      v("hits", s.hits...);
+      v("disk_hits", s.disk_hits...);
+      v("misses", s.misses...);
+      v("insertions", s.insertions...);
+      v("evictions", s.evictions...);
+      v("disk_writes", s.disk_writes...);
+      v("disk_errors", s.disk_errors...);
+      v("entries", s.entries...);
+    }
   };
+  using Stats = CounterSet<std::uint64_t>;
 
   ResultCache();  ///< default Config
   explicit ResultCache(const Config& cfg);

@@ -4,6 +4,7 @@
 #include <memory>
 #include <string>
 
+#include "core/counters.hpp"
 #include "core/stagegraph.hpp"
 #include "serve/cache.hpp"
 #include "serve/scheduler.hpp"
@@ -48,6 +49,9 @@
 /// and consults the `ResultCache`). Graceful drain on SIGINT/SIGTERM
 /// (`run_daemon`) or the shutdown verb: stop accepting, half-close idle
 /// connections, let in-flight requests finish, drain the scheduler, exit 0.
+///
+/// Counters: declared in `Server::CounterSet` and `DseCounterSet`; a
+/// counter's row in its set's `walk` is its only name (core/counters.hpp).
 
 namespace gia::serve {
 
@@ -113,31 +117,62 @@ class Server {
   /// Block until a requested stop has fully drained (joins all threads).
   void wait();
 
-  struct Stats {
-    int port = 0;  ///< kernel-assigned listen port (== port())
-    std::uint64_t connections = 0;
-    std::uint64_t requests = 0;       ///< protocol lines handled
-    std::uint64_t flow_requests = 0;  ///< lines carrying a flow_request
-    std::uint64_t protocol_errors = 0;
+  template <typename C>
+  struct CounterSet {
+    core::counters::Gauge<C, int> port{};  ///< kernel-assigned listen port (== port())
+    C connections{};
+    C requests{};       ///< protocol lines handled
+    C flow_requests{};  ///< lines carrying a flow_request
+    C protocol_errors{};
     /// Connections closed by a deadline: idle, per-op read/write, or the
     /// wall-clock connection budget.
-    std::uint64_t timeouts = 0;
+    C timeouts{};
     /// Requests rejected for exceeding max_line_bytes (also counted in
     /// protocol_errors).
-    std::uint64_t oversize_rejections = 0;
-    /// Streaming dse search workload (always-on counters, independent of
-    /// the GIA_TRACE-gated instrument layer).
-    struct Dse {
-      std::uint64_t searches = 0;   ///< search verbs accepted (started)
-      std::uint64_t completed = 0;  ///< finished with status "done"
-      std::uint64_t cancelled = 0;  ///< finished with status "cancelled"
-      std::uint64_t expired = 0;    ///< finished with status "deadline"
-      std::uint64_t rejected = 0;   ///< over max_search_points / max_active_searches
-      std::uint64_t active = 0;     ///< currently running
-      std::uint64_t points_evaluated = 0;
-      std::uint64_t front_updates = 0;
-      std::uint64_t cache_assisted_points = 0;
-    };
+    C oversize_rejections{};
+    core::counters::Gauge<C, double> uptime_s{};
+
+    static void walk(auto&& v, auto&... s) {
+      v("port", s.port...);
+      v("connections", s.connections...);
+      v("requests", s.requests...);
+      v("flow_requests", s.flow_requests...);
+      v("protocol_errors", s.protocol_errors...);
+      v("timeouts", s.timeouts...);
+      v("oversize_rejections", s.oversize_rejections...);
+      v("uptime_s", s.uptime_s...);
+    }
+  };
+
+  /// Streaming dse search workload.
+  template <typename C>
+  struct DseCounterSet {
+    C searches{};   ///< search verbs accepted (started)
+    C completed{};  ///< finished with status "done"
+    C cancelled{};  ///< finished with status "cancelled"
+    C expired{};    ///< finished with status "deadline"
+    C rejected{};   ///< over max_search_points / max_active_searches
+    core::counters::Gauge<C> active{};  ///< currently running
+    C points_evaluated{};
+    C front_updates{};
+    C cache_assisted_points{};
+
+    static void walk(auto&& v, auto&... s) {
+      v("searches", s.searches...);
+      v("completed", s.completed...);
+      v("cancelled", s.cancelled...);
+      v("expired", s.expired...);
+      v("rejected", s.rejected...);
+      v("active", s.active...);
+      v("points_evaluated", s.points_evaluated...);
+      v("front_updates", s.front_updates...);
+      v("cache_assisted_points", s.cache_assisted_points...);
+    }
+  };
+
+  /// What `stats` reports, in wire order (`scheduler_pending` leads `scheduler`).
+  struct Stats : CounterSet<std::uint64_t> {
+    using Dse = DseCounterSet<std::uint64_t>;
     Dse dse;
     /// Scheduler jobs not yet terminal at snapshot time.
     std::uint64_t scheduler_pending = 0;
@@ -147,7 +182,6 @@ class Server {
     /// hit/miss/eviction counters proving which upstream artifacts the
     /// daemon's traffic reuses across requests.
     core::stage::StageCacheStats stage_cache;
-    double uptime_s = 0;
   };
   Stats stats() const;
 

@@ -8,13 +8,13 @@
 #include <thread>
 #include <unordered_map>
 
+#include "core/counters.hpp"
 #include "core/instrument.hpp"
 #include "core/stagegraph.hpp"
 #include "serve/faultinject.hpp"
 
 namespace gia::serve {
 
-namespace ins = core::instrument;
 using Clock = std::chrono::steady_clock;
 
 struct JobTicket::State {
@@ -111,8 +111,7 @@ struct JobScheduler::Impl {
   int active = 0;  ///< workers currently executing a job
   bool stop = false;
 
-  std::atomic<std::uint64_t> n_submitted{0}, n_cache_hits{0}, n_coalesced{0}, n_executed{0},
-      n_failed{0}, n_cancelled{0}, n_expired{0}, n_stage_hits{0}, n_stage_misses{0};
+  CounterSet<core::counters::Live> counts;
 
   std::vector<std::thread> workers;
 
@@ -128,7 +127,7 @@ struct JobScheduler::Impl {
       Status status;
       ResultCache::ResultPtr result;
       std::string error;
-      bool cascade;  ///< counted in n_cancelled when it actually transitions
+      bool cascade;  ///< counted in counts.cancelled when it actually transitions
     };
     std::vector<Item> work;
     work.push_back({st, status, std::move(result), std::move(error), /*cascade=*/false});
@@ -147,7 +146,7 @@ struct JobScheduler::Impl {
         it.st->finish_seq = finish_counter.fetch_add(1, std::memory_order_relaxed) + 1;
       }
       it.st->cv.notify_all();
-      if (it.cascade) n_cancelled.fetch_add(1, std::memory_order_relaxed);
+      if (it.cascade) counts.cancelled.fetch_add(1, std::memory_order_relaxed);
 
       auto fl = inflight.find(it.st->key);
       if (fl != inflight.end() && fl->second == it.st) inflight.erase(fl);
@@ -196,7 +195,7 @@ struct JobScheduler::Impl {
       }
 
       if (st->deadline != Clock::time_point{} && Clock::now() > st->deadline) {
-        n_expired.fetch_add(1, std::memory_order_relaxed);
+        counts.expired.fetch_add(1, std::memory_order_relaxed);
         finish_locked(st, Status::Expired, nullptr, "deadline passed before start");
         continue;
       }
@@ -205,7 +204,7 @@ struct JobScheduler::Impl {
       // (e.g. a disk entry appeared); serve it without re-running.
       if (cache != nullptr) {
         if (auto hit = cache->peek(st->key)) {
-          n_cache_hits.fetch_add(1, std::memory_order_relaxed);
+          counts.cache_hits.fetch_add(1, std::memory_order_relaxed);
           finish_locked(st, Status::Done, hit, {});
           continue;
         }
@@ -224,7 +223,6 @@ struct JobScheduler::Impl {
       std::string error;
       try {
         GIA_SPAN("serve/flow");
-        ins::counter_add(ins::Counter::FlowRuns);
         // The flow is submitted as stage-level work: execute_flow walks the
         // stage DAG, so a request that differs from recent traffic only in
         // downstream knobs reuses the cached upstream stage artifacts. The
@@ -232,8 +230,8 @@ struct JobScheduler::Impl {
         core::stage::StageRunRecord srec;
         result = std::make_shared<const core::TechnologyResult>(
             core::stage::execute_flow(st->request.tech, st->request.options, &srec));
-        n_stage_hits.fetch_add(srec.hits(), std::memory_order_relaxed);
-        n_stage_misses.fetch_add(srec.misses(), std::memory_order_relaxed);
+        counts.stage_hits.fetch_add(srec.hits(), std::memory_order_relaxed);
+        counts.stage_misses.fetch_add(srec.misses(), std::memory_order_relaxed);
       } catch (const std::exception& e) {
         error = e.what();
       } catch (...) {
@@ -244,10 +242,10 @@ struct JobScheduler::Impl {
       lk.lock();
       --active;
       if (result != nullptr) {
-        n_executed.fetch_add(1, std::memory_order_relaxed);
+        counts.executed.fetch_add(1, std::memory_order_relaxed);
         finish_locked(st, Status::Done, std::move(result), {});
       } else {
-        n_failed.fetch_add(1, std::memory_order_relaxed);
+        counts.failed.fetch_add(1, std::memory_order_relaxed);
         finish_locked(st, Status::Failed, nullptr, std::move(error));
       }
     }
@@ -279,7 +277,7 @@ JobScheduler::~JobScheduler() {
         running = st->status == JobTicket::Status::Running;
       }
       if (running) continue;  // worker finishes and reports it
-      impl_->n_cancelled.fetch_add(1, std::memory_order_relaxed);
+      impl_->counts.cancelled.fetch_add(1, std::memory_order_relaxed);
       impl_->finish_locked(st, JobTicket::Status::Cancelled, nullptr, "scheduler stopped");
     }
   }
@@ -290,12 +288,12 @@ JobScheduler::~JobScheduler() {
 JobTicket JobScheduler::submit(const FlowRequest& req) { return submit(req, SubmitOptions()); }
 
 JobTicket JobScheduler::submit(const FlowRequest& req, const SubmitOptions& opts) {
-  impl_->n_submitted.fetch_add(1, std::memory_order_relaxed);
+  impl_->counts.submitted.fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t key = request_key(req);
 
   if (impl_->cache != nullptr && opts.after.empty()) {
     if (auto hit = impl_->cache->get(key)) {
-      impl_->n_cache_hits.fetch_add(1, std::memory_order_relaxed);
+      impl_->counts.cache_hits.fetch_add(1, std::memory_order_relaxed);
       auto st = std::make_shared<JobTicket::State>();
       st->key = key;
       st->status = JobTicket::Status::Done;
@@ -326,7 +324,7 @@ JobTicket JobScheduler::submit(const FlowRequest& req, const SubmitOptions& opts
       live = !fl->second->terminal_locked();
     }
     if (live) {
-      impl_->n_coalesced.fetch_add(1, std::memory_order_relaxed);
+      impl_->counts.coalesced.fetch_add(1, std::memory_order_relaxed);
       return JobTicket(fl->second, /*from_cache=*/false, /*coalesced=*/true);
     }
   }
@@ -361,7 +359,7 @@ JobTicket JobScheduler::submit(const FlowRequest& req, const SubmitOptions& opts
   impl_->inflight[key] = st;
 
   if (!dep_missing_ok) {
-    impl_->n_cancelled.fetch_add(1, std::memory_order_relaxed);
+    impl_->counts.cancelled.fetch_add(1, std::memory_order_relaxed);
     impl_->finish_locked(st, JobTicket::Status::Cancelled, nullptr,
                          "dependency did not complete");
   } else if (st->deps_remaining == 0) {
@@ -380,7 +378,7 @@ bool JobScheduler::cancel(std::uint64_t job_id) {
     std::lock_guard<std::mutex> slk(st->mu);
     if (st->status != JobTicket::Status::Queued) return false;
   }
-  impl_->n_cancelled.fetch_add(1, std::memory_order_relaxed);
+  impl_->counts.cancelled.fetch_add(1, std::memory_order_relaxed);
   impl_->finish_locked(st, JobTicket::Status::Cancelled, nullptr, "cancelled");
   return true;
 }
@@ -397,15 +395,7 @@ std::size_t JobScheduler::pending() const {
 
 JobScheduler::Counters JobScheduler::counters() const {
   Counters c;
-  c.submitted = impl_->n_submitted.load(std::memory_order_relaxed);
-  c.cache_hits = impl_->n_cache_hits.load(std::memory_order_relaxed);
-  c.coalesced = impl_->n_coalesced.load(std::memory_order_relaxed);
-  c.executed = impl_->n_executed.load(std::memory_order_relaxed);
-  c.failed = impl_->n_failed.load(std::memory_order_relaxed);
-  c.cancelled = impl_->n_cancelled.load(std::memory_order_relaxed);
-  c.expired = impl_->n_expired.load(std::memory_order_relaxed);
-  c.stage_hits = impl_->n_stage_hits.load(std::memory_order_relaxed);
-  c.stage_misses = impl_->n_stage_misses.load(std::memory_order_relaxed);
+  core::counters::load(impl_->counts, c);
   return c;
 }
 

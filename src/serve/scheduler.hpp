@@ -31,6 +31,9 @@
 /// cancelled while queued. A job may also depend on earlier job ids: it
 /// stays held until every dependency reaches a terminal state (a failed or
 /// cancelled dependency cancels its dependents).
+///
+/// Counters: declared in `JobScheduler::CounterSet`; a counter's row in its
+/// `walk` is its only name (core/counters.hpp).
 
 namespace gia::serve {
 
@@ -89,22 +92,36 @@ class JobScheduler {
     ResultCache* cache = nullptr;
   };
 
-  struct Counters {
-    std::uint64_t submitted = 0;   ///< submit() calls
-    std::uint64_t cache_hits = 0;  ///< answered without queueing
-    std::uint64_t coalesced = 0;   ///< attached to an in-flight duplicate
-    std::uint64_t executed = 0;    ///< flow runs actually performed
-    std::uint64_t failed = 0;
-    std::uint64_t cancelled = 0;
-    std::uint64_t expired = 0;
+  template <typename C>
+  struct CounterSet {
+    C submitted{};   ///< submit() calls
+    C cache_hits{};  ///< answered without queueing
+    C coalesced{};   ///< attached to an in-flight duplicate
+    C executed{};    ///< flow runs actually performed
+    C failed{};
+    C cancelled{};
+    C expired{};
     /// Stage-level accounting across all executed flows: flows run as
     /// stage-DAG jobs (core/stagegraph.hpp), so a request differing from
     /// recent traffic only in downstream knobs reuses cached upstream
     /// artifacts. hits = stages served from the stage cache, misses =
     /// stage bodies actually run.
-    std::uint64_t stage_hits = 0;
-    std::uint64_t stage_misses = 0;
+    C stage_hits{};
+    C stage_misses{};
+
+    static void walk(auto&& v, auto&... s) {
+      v("submitted", s.submitted...);
+      v("cache_hits", s.cache_hits...);
+      v("coalesced", s.coalesced...);
+      v("executed", s.executed...);
+      v("failed", s.failed...);
+      v("cancelled", s.cancelled...);
+      v("expired", s.expired...);
+      v("stage_hits", s.stage_hits...);
+      v("stage_misses", s.stage_misses...);
+    }
   };
+  using Counters = CounterSet<std::uint64_t>;
 
   explicit JobScheduler(const Options& opts);
   /// Stops without draining: queued jobs are cancelled, running jobs finish.

@@ -3,10 +3,10 @@
 #include <map>
 #include <sstream>
 
-#include "core/flow.hpp"
 #include "core/headline.hpp"
 #include "core/links.hpp"
 #include "core/report.hpp"
+#include "core/stagegraph.hpp"
 #include "tech/library.hpp"
 
 namespace co = gia::core;
@@ -23,7 +23,7 @@ const co::TechnologyResult& flow_of(th::TechnologyKind k) {
     opts.with_eyes = true;
     opts.with_thermal = true;
     opts.eye_bits = 64;
-    it = cache.emplace(k, co::run_full_flow(k, opts)).first;
+    it = cache.emplace(k, co::stage::execute_flow(k, opts)).first;
   }
   return it->second;
 }
@@ -33,7 +33,7 @@ const co::TechnologyResult& flow_of(th::TechnologyKind k) {
 // --- Full flow consistency ----------------------------------------------------
 
 TEST(Flow, RejectsMonolithic) {
-  EXPECT_THROW(co::run_full_flow(th::TechnologyKind::Monolithic2D), std::invalid_argument);
+  EXPECT_THROW(co::stage::execute_flow(th::TechnologyKind::Monolithic2D), std::invalid_argument);
 }
 
 TEST(Flow, AllPiecesPopulated) {

@@ -2,7 +2,7 @@
 
 #include <fstream>
 
-#include "core/flow.hpp"
+#include "core/stagegraph.hpp"
 #include "core/svg_export.hpp"
 #include "interposer/design.hpp"
 #include "tech/library.hpp"
@@ -18,7 +18,7 @@ TEST(FlattenedFlow, ConvergesToPaperCutAtPaperBalance) {
   opts.partition_mode = co::PartitionMode::Flattened;
   opts.fm.target_memory_fraction = 0.18;
   opts.fm.balance_tolerance = 0.05;
-  const auto r = co::run_full_flow(th::TechnologyKind::Glass25D, opts);
+  const auto r = co::stage::execute_flow(th::TechnologyKind::Glass25D, opts);
   // At the paper's balance point, min-cut rediscovers the L3 boundary.
   EXPECT_EQ(r.partition.cut_wires, 462);
   EXPECT_NEAR(r.partition.memory_fraction, 0.181, 0.02);
@@ -30,7 +30,7 @@ TEST(FlattenedFlow, UnbalancedTargetChangesChiplets) {
   opts.partition_mode = co::PartitionMode::Flattened;
   opts.fm.target_memory_fraction = 0.5;
   opts.fm.balance_tolerance = 0.06;
-  const auto r = co::run_full_flow(th::TechnologyKind::Glass25D, opts);
+  const auto r = co::stage::execute_flow(th::TechnologyKind::Glass25D, opts);
   EXPECT_NEAR(r.partition.memory_fraction, 0.5, 0.12);
   // A 50/50 split puts far more cells (and thus area) on the memory die
   // than the paper's 770 um L3-only chiplet.

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/flow.hpp"
+#include "core/stagegraph.hpp"
 #include "tech/library.hpp"
 
 /// Whole-flow integration properties: stability of the reproduced results
@@ -18,7 +18,7 @@ class FlowSeedSweep : public ::testing::TestWithParam<unsigned> {};
 TEST_P(FlowSeedSweep, StableAcrossNetlistSeeds) {
   co::FlowOptions opts;
   opts.openpiton.seed = GetParam();
-  const auto r = co::run_full_flow(th::TechnologyKind::Glass25D, opts);
+  const auto r = co::stage::execute_flow(th::TechnologyKind::Glass25D, opts);
   EXPECT_EQ(r.logic.cell_count, 167495);
   EXPECT_EQ(r.partition.cut_wires, 462);
   EXPECT_NEAR(r.logic.footprint_um, 820, 15);
@@ -31,8 +31,8 @@ TEST_P(FlowSeedSweep, StableAcrossNetlistSeeds) {
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowSeedSweep, ::testing::Values(1u, 20230710u, 99u));
 
 TEST(FlowIntegration, FullyDeterministic) {
-  const auto a = co::run_full_flow(th::TechnologyKind::Shinko);
-  const auto b = co::run_full_flow(th::TechnologyKind::Shinko);
+  const auto a = co::stage::execute_flow(th::TechnologyKind::Shinko);
+  const auto b = co::stage::execute_flow(th::TechnologyKind::Shinko);
   EXPECT_DOUBLE_EQ(a.total_power_w, b.total_power_w);
   EXPECT_DOUBLE_EQ(a.logic.wirelength_m, b.logic.wirelength_m);
   EXPECT_DOUBLE_EQ(a.interposer.routes.stats.total_wl_um,
@@ -44,7 +44,7 @@ TEST(FlowIntegration, FullyDeterministic) {
 TEST(FlowIntegration, CrossTechnologyInvariants) {
   // Structural truths that hold whatever the calibration constants are.
   for (auto k : th::table_order()) {
-    const auto r = co::run_full_flow(k);
+    const auto r = co::stage::execute_flow(k);
     // Chiplets always fit on the interposer.
     if (r.technology.has_interposer()) {
       for (const auto& die : r.interposer.floorplan.dies) {
@@ -74,15 +74,15 @@ TEST(FlowIntegration, CrossTechnologyInvariants) {
 TEST(FlowIntegration, PitchDrivesFootprintOrdering) {
   // Table II's core observation as an invariant: finer bump pitch never
   // yields a larger bump-limited chiplet.
-  const auto glass = co::run_full_flow(th::TechnologyKind::Glass25D);
-  const auto si = co::run_full_flow(th::TechnologyKind::Silicon25D);
-  const auto apx = co::run_full_flow(th::TechnologyKind::APX);
+  const auto glass = co::stage::execute_flow(th::TechnologyKind::Glass25D);
+  const auto si = co::stage::execute_flow(th::TechnologyKind::Silicon25D);
+  const auto apx = co::stage::execute_flow(th::TechnologyKind::APX);
   EXPECT_LE(glass.logic.footprint_um, si.logic.footprint_um);
   EXPECT_LE(si.logic.footprint_um, apx.logic.footprint_um);
 }
 
 TEST(FlowIntegration, SerdesReportConsistent) {
-  const auto r = co::run_full_flow(th::TechnologyKind::Glass3D);
+  const auto r = co::stage::execute_flow(th::TechnologyKind::Glass3D);
   EXPECT_EQ(r.serdes.wires_before, 404);
   EXPECT_EQ(r.serdes.wires_after, 68);
   EXPECT_EQ(r.serdes.buses_serialized, 6);

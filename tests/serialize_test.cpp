@@ -9,8 +9,8 @@
 
 #include <stdexcept>
 
-#include "core/flow.hpp"
 #include "core/headline.hpp"
+#include "core/stagegraph.hpp"
 #include "tech/library.hpp"
 
 namespace gia {
@@ -20,7 +20,7 @@ core::TechnologyResult run_once(tech::TechnologyKind k, bool eyes, bool thermal)
   core::FlowOptions opts;
   opts.with_eyes = eyes;
   opts.with_thermal = thermal;
-  return core::run_full_flow(k, opts);
+  return core::stage::execute_flow(k, opts);
 }
 
 /// A fully populated result built from chosen values, independent of the

@@ -295,27 +295,27 @@ TEST(StageGraphTest, ByteIdenticalAcrossCacheAndThreadCount) {
     gia::core::set_thread_count(1);
     stage::set_stage_cache_enabled(false);
     const std::string golden =
-        gia::core::technology_result_to_json(gia::core::run_full_flow(tech, opts));
+        gia::core::technology_result_to_json(gia::core::stage::execute_flow(tech, opts));
 
     stage::set_stage_cache_enabled(true);
     stage::stage_cache_clear();
     const std::string cached_cold =
-        gia::core::technology_result_to_json(gia::core::run_full_flow(tech, opts));
+        gia::core::technology_result_to_json(gia::core::stage::execute_flow(tech, opts));
     const std::string cached_warm =
-        gia::core::technology_result_to_json(gia::core::run_full_flow(tech, opts));
+        gia::core::technology_result_to_json(gia::core::stage::execute_flow(tech, opts));
 
     gia::core::set_thread_count(4);
     const std::string warm_mt =
-        gia::core::technology_result_to_json(gia::core::run_full_flow(tech, opts));
+        gia::core::technology_result_to_json(gia::core::stage::execute_flow(tech, opts));
     stage::set_stage_cache_enabled(false);
     const std::string uncached_mt =
-        gia::core::technology_result_to_json(gia::core::run_full_flow(tech, opts));
+        gia::core::technology_result_to_json(gia::core::stage::execute_flow(tech, opts));
     // Tracing (GIA_TRACE) records spans, counters and solver gauges; none
     // of it may reach result bytes.
     const bool was_traced = gia::core::instrument::enabled();
     gia::core::instrument::set_enabled(true);
     const std::string traced_mt =
-        gia::core::technology_result_to_json(gia::core::run_full_flow(tech, opts));
+        gia::core::technology_result_to_json(gia::core::stage::execute_flow(tech, opts));
     gia::core::instrument::set_enabled(was_traced);
 
     const char* name = gia::tech::short_name(tech);
@@ -339,10 +339,10 @@ TEST(StageGraphTest, NChipletByteIdenticalAcrossThreadCount) {
   stage::set_stage_cache_enabled(false);
   gia::core::set_thread_count(1);
   const std::string serial = gia::core::technology_result_to_json(
-      gia::core::run_full_flow(TechnologyKind::Glass25D, opts));
+      gia::core::stage::execute_flow(TechnologyKind::Glass25D, opts));
   gia::core::set_thread_count(4);
   const std::string parallel = gia::core::technology_result_to_json(
-      gia::core::run_full_flow(TechnologyKind::Glass25D, opts));
+      gia::core::stage::execute_flow(TechnologyKind::Glass25D, opts));
   EXPECT_EQ(serial, parallel) << "16-die grid drifted between 1 and 4 threads";
 }
 
