@@ -1,6 +1,8 @@
 // Kernel goldens: FNV-1a digests of the cluster placer and the interposer
 // router on inputs the six-technology stage goldens do not reach (the
-// 16-die grid / hex / floorplan router grids, and the placer on its own).
+// 16-die grid / hex / floorplan router grids, the legacy two-die routes
+// path by path under non-default router options, and the placer on its
+// own).
 // The digests cover every output bit (raw IEEE-754 bytes of each double),
 // so an optimisation that changes a path, a length, a via count or a
 // cluster position fails here even when rounded reports still agree.
@@ -167,6 +169,42 @@ TEST(KernelGoldenTest, SixteenDieRoutesMatchRecordedDigests) {
         ip::build_system_design(TechnologyKind::Glass25D, sys, s.inputs, ro);
     EXPECT_EQ(route_digest(d.routes), c.digest)
         << ch::to_string(c.arrangement) << " via_cost_um=" << c.via_cost_um;
+  }
+}
+
+TEST(KernelGoldenTest, LegacyRoutesMatchRecordedDigests) {
+  // Every technology that routes laterally, at default options, then the
+  // rip-up loop on a non-square grid (Manhattan and octilinear) and the
+  // any-angle router with its grid fallback.
+  struct Case {
+    TechnologyKind kind;
+    int grid_nx, grid_ny, reroute_passes;
+    bool any_angle;
+    const char* digest;
+  };
+  const ip::RouterOptions def;
+  const int nx = def.grid_nx, ny = def.grid_ny, passes = def.reroute_passes;
+  const Case cases[] = {
+      {TechnologyKind::Glass25D, nx, ny, passes, false, "b181b5001804279f"},
+      {TechnologyKind::Glass3D, nx, ny, passes, false, "f659b89ba28766f0"},
+      {TechnologyKind::Silicon25D, nx, ny, passes, false, "b4d3bafac717999e"},
+      {TechnologyKind::Shinko, nx, ny, passes, false, "5298cb06a584350b"},
+      {TechnologyKind::APX, nx, ny, passes, false, "d8694215c219c316"},
+      {TechnologyKind::Glass25D, 48, 64, 3, false, "e4184bd366bb690a"},
+      {TechnologyKind::APX, 48, 64, 3, false, "efe6192c470fed65"},
+      {TechnologyKind::Glass25D, nx, ny, passes, true, "f1b604ca6ce747fe"},
+  };
+  // Digests recorded from the reference kernels; any change is a behaviour change.
+  for (const Case& c : cases) {
+    ip::RouterOptions ro;
+    ro.grid_nx = c.grid_nx;
+    ro.grid_ny = c.grid_ny;
+    ro.reroute_passes = c.reroute_passes;
+    ro.any_angle = c.any_angle;
+    const ip::InterposerDesign d = ip::build_interposer_design(c.kind, {}, ro);
+    EXPECT_EQ(route_digest(d.routes), c.digest)
+        << gia::tech::to_string(c.kind) << " grid " << c.grid_nx << "x" << c.grid_ny
+        << " reroute_passes=" << c.reroute_passes << " any_angle=" << c.any_angle;
   }
 }
 
