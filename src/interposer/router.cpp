@@ -46,7 +46,22 @@ struct Move {
   double base_cost;  ///< um-equivalent
 };
 
-using QEntry = std::pair<double, std::size_t>;  // (f = cost + h, node)
+/// A* state of one grid node: every field a relaxation reads or writes
+/// shares one 16-byte record.
+struct NodeState {
+  double dist = std::numeric_limits<double>::infinity();
+  std::int32_t prev = -1;  ///< predecessor node; -1 at a start node
+  std::int32_t slot = -1;  ///< index of the node's open-list entry; -1 when none
+};
+
+/// An open-list entry: the key (f = cost + h, node) and the node's grid
+/// coordinates, so a pop needs no division.
+struct OpenEntry {
+  double f;
+  std::int32_t node, x, y, l;
+
+  bool operator<(const OpenEntry& o) const { return f < o.f || (f == o.f && node < o.node); }
+};
 
 /// The routing workspace shared by every net and pass.
 struct Workspace {
@@ -60,15 +75,58 @@ struct Workspace {
   /// `usage` so the search reads it instead of recomputing it per edge.
   std::vector<double> congestion;
   std::vector<std::vector<Move>> layer_moves;
-  // A* scratch reused by every net. A cell's dist/prev belong to the
-  // current search only when its stamp equals `search`; starting a search
-  // bumps `search` instead of clearing the grid.
-  std::vector<double> dist;
-  std::vector<int> prev;
-  std::vector<std::uint32_t> stamp;
-  std::uint32_t search = 0;
-  std::vector<QEntry> open;  ///< A* open list, a min-heap on (f, node)
+  // A* scratch reused by every net. `touched` lists the nodes whose state
+  // the last search set; the next search resets only those.
+  std::vector<NodeState> state;
+  std::vector<std::int32_t> touched;
+  std::vector<OpenEntry> open;  ///< A* open list, a binary min-heap on (f, node)
+  std::vector<double> hx, hy;   ///< heuristic terms per column / row
   std::vector<std::size_t> chain;
+
+  /// Put `e` at heap index `i` and move it up while it beats its parent.
+  void sift_up(std::size_t i, OpenEntry e) {
+    while (i > 0) {
+      const std::size_t parent = (i - 1) / 2;
+      if (!(e < open[parent])) break;
+      open[i] = open[parent];
+      state[static_cast<std::size_t>(open[i].node)].slot = static_cast<std::int32_t>(i);
+      i = parent;
+    }
+    open[i] = e;
+    state[static_cast<std::size_t>(e.node)].slot = static_cast<std::int32_t>(i);
+  }
+
+  /// Insert `e.node`, or lower the key of its entry when it is open.
+  void push_or_decrease(const OpenEntry& e) {
+    const std::int32_t slot = state[static_cast<std::size_t>(e.node)].slot;
+    if (slot >= 0) {
+      sift_up(static_cast<std::size_t>(slot), e);
+    } else {
+      open.emplace_back();
+      sift_up(open.size() - 1, e);
+    }
+  }
+
+  OpenEntry pop_min() {
+    const OpenEntry top = open.front();
+    state[static_cast<std::size_t>(top.node)].slot = -1;
+    const OpenEntry last = open.back();
+    open.pop_back();
+    const std::size_t n = open.size();
+    if (n > 0) {
+      std::size_t i = 0;
+      for (std::size_t c = 1; c < n; c = 2 * i + 1) {
+        if (c + 1 < n && open[c + 1] < open[c]) ++c;
+        if (!(open[c] < last)) break;
+        open[i] = open[c];
+        state[static_cast<std::size_t>(open[i].node)].slot = static_cast<std::int32_t>(i);
+        i = c;
+      }
+      open[i] = last;
+      state[static_cast<std::size_t>(last.node)].slot = static_cast<std::int32_t>(i);
+    }
+    return top;
+  }
 
   double capacity_of(std::size_t node) const { return capacity[node % g.plane()]; }
 
@@ -98,77 +156,72 @@ void route_one(Workspace& ws, const TopNet& net, RoutedNet& rn,
   const int ax = g.cell_of_x(net.a.x), ay = g.cell_of_y(net.a.y);
   const int bx = g.cell_of_x(net.b.x), by = g.cell_of_y(net.b.y);
 
-  if (++ws.search == 0) {  // stamp wrap-around: forget every older search
-    std::fill(ws.stamp.begin(), ws.stamp.end(), 0u);
-    ws.search = 1;
-  }
-  const std::uint32_t search = ws.search;
-  const auto dist_of = [&](std::size_t n) {
-    return ws.stamp[n] == search ? ws.dist[n] : std::numeric_limits<double>::infinity();
-  };
-  const auto set_dist = [&](std::size_t n, double d, int from) {
-    ws.dist[n] = d;
-    ws.prev[n] = from;
-    ws.stamp[n] = search;
-  };
+  for (const std::int32_t n : ws.touched) ws.state[static_cast<std::size_t>(n)] = NodeState{};
+  ws.touched.clear();
   auto& open = ws.open;
   open.clear();
-  const auto push = [&](QEntry e) {
-    open.push_back(e);
-    std::push_heap(open.begin(), open.end(), std::greater<>());
+  // h(x, y) = hx[x] + hy[y]: the same doubles as the closed form
+  // |x - bx| * dw * 0.999 + |y - by| * dh * 0.999, looked up per column/row.
+  ws.hx.resize(static_cast<std::size_t>(g.nx));
+  ws.hy.resize(static_cast<std::size_t>(g.ny));
+  for (int x = 0; x < g.nx; ++x) ws.hx[static_cast<std::size_t>(x)] = std::abs(x - bx) * dw * 0.999;
+  for (int y = 0; y < g.ny; ++y) ws.hy[static_cast<std::size_t>(y)] = std::abs(y - by) * dh * 0.999;
+  const auto heuristic = [&](int x, int y) {
+    return ws.hx[static_cast<std::size_t>(x)] + ws.hy[static_cast<std::size_t>(y)];
   };
-  auto heuristic = [&](int x, int y) {
-    return std::abs(x - bx) * dw * 0.999 + std::abs(y - by) * dh * 0.999;
-  };
+  // Every node has at most one open-list entry, keyed (f, node): a
+  // relaxation of an open node lowers its key in place, and a closed node
+  // whose cost improves (the octilinear heuristic is not consistent) is
+  // inserted again. The expansions equal those of a lazy heap that pushes
+  // a fresh entry per relaxation and skips the entries its node has
+  // outdated: an exact min-queue on the total order (f, node) pops the
+  // same sequence of current entries, a node's newest entry pops no later
+  // than its older ones, and an older entry popped after the newest would
+  // re-expand the node at an unchanged cost, where no relaxation
+  // `d + step < dist - 1e-12` can succeed again. The goal test fires at
+  // the first pop of the goal cell either way.
+
   // Bumps land on the top layer; escaping down to layer l costs l+1 vias.
   for (int l = 0; l < g.layers; ++l) {
-    const std::size_t s = g.idx(ax, ay, l);
+    const auto s = static_cast<std::int32_t>(g.idx(ax, ay, l));
     const double c = (l + 1) * opts.via_cost_um;
-    if (c < dist_of(s)) {
-      set_dist(s, c, -1);
-      push({c + heuristic(ax, ay), s});
-    }
+    ws.state[static_cast<std::size_t>(s)].dist = c;
+    ws.touched.push_back(s);
+    ws.push_or_decrease({c + heuristic(ax, ay), s, ax, ay, l});
   }
-  std::size_t goal = std::numeric_limits<std::size_t>::max();
+  std::int32_t goal = -1;
   std::uint64_t expanded = 0;
   while (!open.empty()) {
-    std::pop_heap(open.begin(), open.end(), std::greater<>());
-    const auto [f, node] = open.back();
-    open.pop_back();
-    const int l = static_cast<int>(node / (static_cast<std::size_t>(g.nx) * g.ny));
-    const int rem = static_cast<int>(node % (static_cast<std::size_t>(g.nx) * g.ny));
-    const int y = rem / g.nx, x = rem % g.nx;
-    const double d = ws.dist[node];
-    if (f - heuristic(x, y) > d + 1e-9) continue;  // stale entry
+    const OpenEntry top = ws.pop_min();
     ++expanded;
-    if (x == bx && y == by) {
-      goal = node;
+    if (top.x == bx && top.y == by) {
+      goal = top.node;
       break;
     }
-    for (const auto& mv : ws.layer_moves[static_cast<std::size_t>(l)]) {
-      const int nx2 = x + mv.dx, ny2 = y + mv.dy, nl = l + mv.dl;
+    const double d = ws.state[static_cast<std::size_t>(top.node)].dist;
+    for (const auto& mv : ws.layer_moves[static_cast<std::size_t>(top.l)]) {
+      const int nx2 = top.x + mv.dx, ny2 = top.y + mv.dy, nl = top.l + mv.dl;
       if (nx2 < 0 || nx2 >= g.nx || ny2 < 0 || ny2 >= g.ny || nl < 0 || nl >= g.layers) continue;
       const std::size_t nn = g.idx(nx2, ny2, nl);
       const double step = mv.dl != 0 ? mv.base_cost : mv.base_cost * ws.congestion[nn];
-      if (d + step < dist_of(nn) - 1e-12) {
-        set_dist(nn, d + step, static_cast<int>(node));
-        push({ws.dist[nn] + heuristic(nx2, ny2), nn});
+      NodeState& st = ws.state[nn];
+      if (d + step < st.dist - 1e-12) {
+        if (std::isinf(st.dist)) ws.touched.push_back(static_cast<std::int32_t>(nn));
+        st.dist = d + step;
+        st.prev = top.node;
+        ws.push_or_decrease({st.dist + heuristic(nx2, ny2), static_cast<std::int32_t>(nn), nx2,
+                             ny2, nl});
       }
     }
   }
   instrument::counter_add(instrument::Counter::RouterExpansions, expanded);
-  if (goal == std::numeric_limits<std::size_t>::max()) {
-    throw std::runtime_error("unroutable net " + net.name);
-  }
+  if (goal < 0) throw std::runtime_error("unroutable net " + net.name);
 
   // Recover the path, accumulate usage, build the polyline.
   auto& chain = ws.chain;
   chain.clear();
-  for (std::size_t n = goal;;) {
-    chain.push_back(n);
-    const int p = ws.prev[n];
-    if (p < 0) break;
-    n = static_cast<std::size_t>(p);
+  for (std::int32_t n = goal; n >= 0; n = ws.state[static_cast<std::size_t>(n)].prev) {
+    chain.push_back(static_cast<std::size_t>(n));
   }
   std::reverse(chain.begin(), chain.end());
   Polyline path;
@@ -489,9 +542,7 @@ RouteResult route_interposer(const tech::Technology& tech, const InterposerFloor
   }
   ws.congestion.resize(g.size());
   for (std::size_t n = 0; n < g.size(); ++n) ws.congestion[n] = ws.congestion_cost(n);
-  ws.dist.resize(g.size());
-  ws.prev.resize(g.size());
-  ws.stamp.assign(g.size(), 0u);
+  ws.state.resize(g.size());
 
   // Route order: short nets first (they have the least flexibility).
   std::vector<int> order(nets.size());
