@@ -19,8 +19,11 @@ namespace {
 constexpr int kSiteCount = static_cast<int>(Site::kCount);
 
 struct Registry {
+  /// `seed` and `threshold` are atomics because a configure() may rewrite
+  /// them while a worker reads them; apply_spec stores them before the
+  /// release store of `armed`.
   std::atomic<bool> armed{false};  ///< any site has probability > 0
-  std::uint64_t seed = 1;
+  std::atomic<std::uint64_t> seed{1};
   /// The stall's length and whether its site is armed, both under
   /// `stall_mu`: a configure() that disarms the site wakes every stall.
   std::mutex stall_mu;
@@ -28,7 +31,7 @@ struct Registry {
   int stall_ms = 10;
   bool stall_armed = false;
   /// Probability scaled to 2^64 so the decision is one integer compare.
-  std::uint64_t threshold[kSiteCount] = {};
+  std::atomic<std::uint64_t> threshold[kSiteCount] = {};
   std::atomic<std::uint64_t> n_trials[kSiteCount] = {};
   std::atomic<std::uint64_t> n_injected[kSiteCount] = {};
 };
@@ -60,9 +63,9 @@ bool parse_site(const std::string& key, Site* out) noexcept {
 }
 
 void apply_spec(const std::string& spec) {
-  g_reg.seed = 1;
+  g_reg.seed.store(1, std::memory_order_relaxed);
   int stall_ms = 10;
-  for (int i = 0; i < kSiteCount; ++i) g_reg.threshold[i] = 0;
+  for (auto& t : g_reg.threshold) t.store(0, std::memory_order_relaxed);
   reset_counters();
 
   bool any = false;
@@ -84,7 +87,7 @@ void apply_spec(const std::string& spec) {
 
     if (key == "seed") {
       char* rest = nullptr;
-      g_reg.seed = std::strtoull(val.c_str(), &rest, 10);
+      g_reg.seed.store(std::strtoull(val.c_str(), &rest, 10), std::memory_order_relaxed);
       if (rest == val.c_str() || *rest != '\0')
         std::fprintf(stderr, "GIA_FAULTS: bad seed \"%s\"\n", val.c_str());
       continue;
@@ -114,14 +117,16 @@ void apply_spec(const std::string& spec) {
                    key.c_str());
       continue;
     }
-    g_reg.threshold[static_cast<int>(site)] = prob_to_threshold(p);
+    g_reg.threshold[static_cast<int>(site)].store(prob_to_threshold(p),
+                                                  std::memory_order_relaxed);
     any = any || p > 0;
   }
   g_reg.armed.store(any, std::memory_order_release);
   {
     const std::lock_guard<std::mutex> lk(g_reg.stall_mu);
     g_reg.stall_ms = stall_ms;
-    g_reg.stall_armed = g_reg.threshold[static_cast<int>(Site::SchedStall)] != 0;
+    g_reg.stall_armed =
+        g_reg.threshold[static_cast<int>(Site::SchedStall)].load(std::memory_order_relaxed) != 0;
   }
   g_reg.stall_cv.notify_all();
 }
@@ -159,11 +164,12 @@ bool enabled() noexcept {
 bool should_inject(Site s) noexcept {
   if (!enabled()) return false;
   const int i = static_cast<int>(s);
-  const std::uint64_t threshold = g_reg.threshold[i];
+  const std::uint64_t threshold = g_reg.threshold[i].load(std::memory_order_relaxed);
   if (threshold == 0) return false;
   const std::uint64_t trial = g_reg.n_trials[i].fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t roll =
-      splitmix64(g_reg.seed ^ (static_cast<std::uint64_t>(i + 1) << 56) ^ trial);
+      splitmix64(g_reg.seed.load(std::memory_order_relaxed) ^
+                 (static_cast<std::uint64_t>(i + 1) << 56) ^ trial);
   const bool hit = roll < threshold;
   if (hit) g_reg.n_injected[i].fetch_add(1, std::memory_order_relaxed);
   return hit;
@@ -187,7 +193,7 @@ void reset_counters() noexcept {
 std::string counters_json() {
   std::string out = "{";
   for (int i = 0; i < kSiteCount; ++i) {
-    if (g_reg.threshold[i] == 0) continue;
+    if (g_reg.threshold[i].load(std::memory_order_relaxed) == 0) continue;
     if (out.size() > 1) out.push_back(',');
     core::json::escape(site_name(static_cast<Site>(i)), out);
     out += ":{\"trials\":";
