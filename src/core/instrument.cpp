@@ -1,5 +1,6 @@
 #include "core/instrument.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <charconv>
@@ -193,6 +194,10 @@ SpanSnapshot snapshot_node(const SpanNode& n) {
   s.max_ns = n.max_ns.load(std::memory_order_relaxed);
   s.children.reserve(n.children.size());
   for (const auto& c : n.children) s.children.push_back(snapshot_node(*c));
+  // Siblings are kept in the order they were first opened, which races
+  // between parallel stages; a snapshot lists them by name instead.
+  std::sort(s.children.begin(), s.children.end(),
+            [](const SpanSnapshot& a, const SpanSnapshot& b) { return a.name < b.name; });
   return s;
 }
 

@@ -116,7 +116,7 @@ struct SpanSnapshot {
   std::uint64_t total_ns = 0;
   std::uint64_t min_ns = 0;  ///< 0 when count == 0
   std::uint64_t max_ns = 0;
-  std::vector<SpanSnapshot> children;
+  std::vector<SpanSnapshot> children;  ///< sorted by name
 };
 
 /// Snapshot of the whole registry plus build/thread metadata, written out

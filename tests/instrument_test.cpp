@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <vector>
 
 #include "core/json.hpp"
 #include "core/links.hpp"
@@ -168,6 +169,40 @@ TEST_F(InstrumentTest, JsonRoundTrip) {
   EXPECT_EQ(rep.root.children[0].name, "a");
   ASSERT_EQ(rep.root.children[0].children.size(), 1u);
   EXPECT_EQ(rep.root.children[0].children[0].name, "b");
+}
+
+/// The span names of a to_json tree, depth first.
+void collect_names(const gia::core::json::Value& v, std::vector<std::string>& out) {
+  out.push_back(v.at("name").as<std::string>());
+  for (const auto& c : v.at("children").arr) collect_names(c, out);
+}
+
+// Sibling spans opened in either order give the same tree: a snapshot
+// lists children by name, not by which stage happened to open first.
+TEST_F(InstrumentTest, SiblingOrderDoesNotDependOnOpenOrder) {
+  const auto tree = [](bool b_first) {
+    ins::reset();
+    {
+      GIA_SPAN("flow");
+      for (int i = 0; i < 2; ++i) {
+        if ((i == 0) == b_first) {
+          GIA_SPAN("flow/b");
+          { GIA_SPAN("leaf"); }
+        } else {
+          GIA_SPAN("flow/a");
+        }
+      }
+    }
+    std::vector<std::string> names;
+    collect_names(gia::core::json::parse(ins::RunReport::capture().to_json())
+                      .at("run_report")
+                      .at("spans"),
+                  names);
+    return names;
+  };
+  const std::vector<std::string> expected = {"root", "flow", "flow/a", "flow/b", "leaf"};
+  EXPECT_EQ(tree(true), expected);
+  EXPECT_EQ(tree(false), expected);
 }
 
 TEST_F(InstrumentTest, InstrumentedSweepRecordsSpanAndCounter) {
