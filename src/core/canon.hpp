@@ -31,6 +31,26 @@ inline std::uint64_t fnv1a64(const std::string& bytes) {
   return h;
 }
 
+/// splitmix64's golden-ratio increment.
+inline constexpr std::uint64_t kSplitmix64Gamma = 0x9e3779b97f4a7c15ull;
+
+/// splitmix64 (Steele, Lea & Flood) as a stateless mixer: the generator's
+/// output for state `x`. Fault-injection decisions and retry jitter hash
+/// their seeds through it, so it must stay bit-identical everywhere.
+inline std::uint64_t splitmix64(std::uint64_t x) noexcept {
+  x += kSplitmix64Gamma;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+  return x ^ (x >> 31);
+}
+
+/// The splitmix64 generator: the output for `state`, then advance it.
+inline std::uint64_t splitmix64_next(std::uint64_t& state) noexcept {
+  const std::uint64_t out = splitmix64(state);
+  state += kSplitmix64Gamma;
+  return out;
+}
+
 /// Fixed-width lowercase-hex spelling of a key, zero-padded to 16 digits
 /// (%016llx): cache filenames, logs, stage-key chaining.
 inline std::string key_hex(std::uint64_t key) {

@@ -5,22 +5,17 @@
 #include <cstdint>
 #include <stdexcept>
 
+#include "core/canon.hpp"
+
 namespace gia::dse {
 
 namespace {
 
-/// splitmix64: tiny deterministic generator for the quasi-MC hypervolume
-/// estimate. Fixed seed -> equal fronts report equal values on every
-/// platform and run.
-std::uint64_t splitmix64(std::uint64_t& state) {
-  std::uint64_t z = (state += 0x9e3779b97f4a7c15ull);
-  z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-  return z ^ (z >> 31);
-}
-
+/// Uniform [0, 1) draw from splitmix64, the tiny deterministic generator
+/// behind the quasi-MC hypervolume estimate. Fixed seed -> equal fronts
+/// report equal values on every platform and run.
 double unit_double(std::uint64_t& state) {
-  return static_cast<double>(splitmix64(state) >> 11) * 0x1.0p-53;
+  return static_cast<double>(core::canon::splitmix64_next(state) >> 11) * 0x1.0p-53;
 }
 
 }  // namespace

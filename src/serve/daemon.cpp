@@ -29,6 +29,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "core/canon.hpp"
 #include "core/instrument.hpp"
 #include "core/json.hpp"
 #include "core/serialize.hpp"
@@ -102,13 +103,6 @@ void send_close_error(int fd, const char* what) {
   json::member("error", what, line);
   line += "}\n";
   send_all(fd, line);
-}
-
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
 }
 
 }  // namespace
@@ -1097,8 +1091,8 @@ bool Client::request_with_retry(int port, const std::string& line, const RetryPo
     }
     // Jittered exponential backoff: a deterministic 50-100% of the nominal
     // backoff, so synchronized failing clients fan out instead of thundering.
-    const std::uint64_t roll =
-        splitmix64(policy.jitter_seed ^ (static_cast<std::uint64_t>(attempt) << 32));
+    const std::uint64_t roll = core::canon::splitmix64(
+        policy.jitter_seed ^ (static_cast<std::uint64_t>(attempt) << 32));
     const auto nominal = static_cast<std::int64_t>(backoff_ms);
     std::int64_t sleep_ms = nominal / 2 + static_cast<std::int64_t>(
                                               roll % static_cast<std::uint64_t>(nominal / 2 + 1));

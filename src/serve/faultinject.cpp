@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <mutex>
 
+#include "core/canon.hpp"
 #include "core/json.hpp"
 
 namespace gia::serve::fault {
@@ -38,13 +39,6 @@ struct Registry {
 
 Registry g_reg;
 std::once_flag g_env_once;
-
-std::uint64_t splitmix64(std::uint64_t x) noexcept {
-  x += 0x9e3779b97f4a7c15ull;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
-  return x ^ (x >> 31);
-}
 
 std::uint64_t prob_to_threshold(double p) noexcept {
   if (p <= 0) return 0;
@@ -168,8 +162,8 @@ bool should_inject(Site s) noexcept {
   if (threshold == 0) return false;
   const std::uint64_t trial = g_reg.n_trials[i].fetch_add(1, std::memory_order_relaxed);
   const std::uint64_t roll =
-      splitmix64(g_reg.seed.load(std::memory_order_relaxed) ^
-                 (static_cast<std::uint64_t>(i + 1) << 56) ^ trial);
+      core::canon::splitmix64(g_reg.seed.load(std::memory_order_relaxed) ^
+                              (static_cast<std::uint64_t>(i + 1) << 56) ^ trial);
   const bool hit = roll < threshold;
   if (hit) g_reg.n_injected[i].fetch_add(1, std::memory_order_relaxed);
   return hit;

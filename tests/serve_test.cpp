@@ -17,6 +17,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/canon.hpp"
 #include "core/json.hpp"
 #include "core/parallel.hpp"
 #include "core/serialize.hpp"
@@ -160,6 +161,16 @@ TEST(ServeRequestTest, Fnv1a64KnownVectors) {
   EXPECT_EQ(serve::fnv1a64(""), 0xcbf29ce484222325ull);
   EXPECT_EQ(serve::fnv1a64("a"), 0xaf63dc4c8601ec8cull);
   EXPECT_EQ(serve::fnv1a64("foobar"), 0x85944171f73967e8ull);
+}
+
+TEST(CanonTest, Splitmix64ReferenceValues) {
+  // The published splitmix64 outputs: fault decisions, retry jitter and
+  // the DSE hypervolume samples all draw from this one generator.
+  EXPECT_EQ(core::canon::splitmix64(0), 0xe220a8397b1dcdafull);
+  std::uint64_t state = 0;
+  EXPECT_EQ(core::canon::splitmix64_next(state), 0xe220a8397b1dcdafull);
+  EXPECT_EQ(core::canon::splitmix64_next(state), 0x6e789e6aa1b965f4ull);
+  EXPECT_EQ(state, 2 * core::canon::kSplitmix64Gamma);
 }
 
 TEST(ServeRequestTest, KeyHexIsFixedWidthLowercase) {
