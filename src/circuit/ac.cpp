@@ -4,7 +4,6 @@
 
 #include "circuit/dense_lu.hpp"
 #include "circuit/mna.hpp"
-#include "circuit/sparse.hpp"
 #include "core/instrument.hpp"
 #include "core/parallel.hpp"
 
@@ -43,21 +42,18 @@ std::vector<double> mutual_values(const Circuit& ckt) {
   return mval;
 }
 
-/// A result with every probe phasor slot allocated, so each frequency point
-/// writes only its own slots.
-AcResult empty_result(const std::vector<double>& freqs_hz, const std::vector<NodeId>& probes) {
+}  // namespace
+
+AcResult run_ac(const Circuit& ckt, const std::vector<double>& freqs_hz,
+                const std::vector<NodeId>& probes) {
+  GIA_SPAN("circuit/ac");
+  core::instrument::counter_add(core::instrument::Counter::AcPoints, freqs_hz.size());
+  const int m = ckt.unknown_count();
+  // Every probe phasor slot is allocated up front, so each frequency point
+  // writes only its own slots.
   AcResult out;
   out.freq_hz = freqs_hz;
   out.node_v.assign(probes.size(), std::vector<cplx>(freqs_hz.size()));
-  return out;
-}
-
-}  // namespace
-
-AcResult run_ac_dense(const Circuit& ckt, const std::vector<double>& freqs_hz,
-                      const std::vector<NodeId>& probes) {
-  const int m = ckt.unknown_count();
-  AcResult out = empty_result(freqs_hz, probes);
   const auto& ls = ckt.inductors();
   const auto mutual = mutual_values(ckt);
   const auto rhs = ac_rhs(ckt);
@@ -69,7 +65,7 @@ AcResult run_ac_dense(const Circuit& ckt, const std::vector<double>& freqs_hz,
   // groups touch disjoint entries from the per-point ones), so the sweep
   // stays byte-identical to the stamp-everything-per-point code.
   ComplexMatrix base(m);
-  stamp_static_complex(ckt, base);
+  stamp_static(ckt, base);
   for (int j = 0; j < static_cast<int>(ls.size()); ++j) {
     stamp_branch_incidence(base, ls[static_cast<std::size_t>(j)].a,
                            ls[static_cast<std::size_t>(j)].b, ckt.inductor_current_index(j),
@@ -107,111 +103,6 @@ AcResult run_ac_dense(const Circuit& ckt, const std::vector<double>& freqs_hz,
     }
   });
   return out;
-}
-
-AcResult run_ac_sparse(const Circuit& ckt, const std::vector<double>& freqs_hz,
-                       const std::vector<NodeId>& probes) {
-  const int m = ckt.unknown_count();
-  AcResult out = empty_result(freqs_hz, probes);
-  const auto& ls = ckt.inductors();
-  const auto mutual = mutual_values(ckt);
-  const auto rhs = ac_rhs(ckt);
-
-  // Assemble the CSR pattern once: static stamps carry their values, the
-  // frequency-dependent entries join the pattern with zero values. Per
-  // point only the value array is copied and the jw terms patched in via
-  // precomputed slots -- no reassembly, no re-sorting.
-  ComplexSparseMatrix S(m);
-  stamp_static<cplx>(ckt, S);
-  for (int j = 0; j < static_cast<int>(ls.size()); ++j) {
-    stamp_branch_incidence(S, ls[static_cast<std::size_t>(j)].a,
-                           ls[static_cast<std::size_t>(j)].b, ckt.inductor_current_index(j),
-                           cplx{1.0});
-  }
-  for (const auto& c : ckt.capacitors()) stamp_conductance(S, c.a, c.b, cplx{});
-  for (int j = 0; j < static_cast<int>(ls.size()); ++j) {
-    S.add(ckt.inductor_current_index(j), ckt.inductor_current_index(j), cplx{});
-  }
-  for (const auto& k : ckt.couplings()) {
-    S.add(ckt.inductor_current_index(k.l1), ckt.inductor_current_index(k.l2), cplx{});
-    S.add(ckt.inductor_current_index(k.l2), ckt.inductor_current_index(k.l1), cplx{});
-  }
-  S.finalize();
-  const std::vector<cplx>& static_vals = S.vals();
-
-  // Slot lists for the dynamic terms. stamp_conductance writes (aa, bb, ab,
-  // ba); ground rows are skipped exactly as the stamp would.
-  struct CapSlots { int aa, bb, ab, ba; double farads; };
-  std::vector<CapSlots> cap_slots;
-  cap_slots.reserve(ckt.capacitors().size());
-  for (const auto& c : ckt.capacitors()) {
-    const int ra = node_row(c.a), rb = node_row(c.b);
-    CapSlots s{-1, -1, -1, -1, c.farads};
-    if (ra >= 0) s.aa = S.slot(ra, ra);
-    if (rb >= 0) s.bb = S.slot(rb, rb);
-    if (ra >= 0 && rb >= 0) {
-      s.ab = S.slot(ra, rb);
-      s.ba = S.slot(rb, ra);
-    }
-    cap_slots.push_back(s);
-  }
-  struct IndSlot { int diag; double henries; };
-  std::vector<IndSlot> ind_slots;
-  ind_slots.reserve(ls.size());
-  for (int j = 0; j < static_cast<int>(ls.size()); ++j) {
-    const int col = ckt.inductor_current_index(j);
-    ind_slots.push_back({S.slot(col, col), ls[static_cast<std::size_t>(j)].henries});
-  }
-  struct CoupSlots { int s12, s21; double mval; };
-  std::vector<CoupSlots> coup_slots;
-  coup_slots.reserve(ckt.couplings().size());
-  for (std::size_t kk = 0; kk < ckt.couplings().size(); ++kk) {
-    const auto& k = ckt.couplings()[kk];
-    coup_slots.push_back({S.slot(ckt.inductor_current_index(k.l1), ckt.inductor_current_index(k.l2)),
-                          S.slot(ckt.inductor_current_index(k.l2), ckt.inductor_current_index(k.l1)),
-                          mutual[kk]});
-  }
-
-  core::parallel_for(freqs_hz.size(), [&](std::size_t fi) {
-    const double w = 2.0 * 3.14159265358979323846 * freqs_hz[fi];
-    const cplx jw(0.0, w);
-
-    std::vector<cplx> vals = static_vals;
-    for (const auto& s : cap_slots) {
-      const cplx g = jw * s.farads;
-      if (s.aa >= 0) vals[static_cast<std::size_t>(s.aa)] += g;
-      if (s.bb >= 0) vals[static_cast<std::size_t>(s.bb)] += g;
-      if (s.ab >= 0) vals[static_cast<std::size_t>(s.ab)] -= g;
-      if (s.ba >= 0) vals[static_cast<std::size_t>(s.ba)] -= g;
-    }
-    for (const auto& s : ind_slots) vals[static_cast<std::size_t>(s.diag)] -= jw * s.henries;
-    for (const auto& s : coup_slots) {
-      vals[static_cast<std::size_t>(s.s12)] -= jw * s.mval;
-      vals[static_cast<std::size_t>(s.s21)] -= jw * s.mval;
-    }
-
-    const CsrView<cplx> A = S.view_with(vals.data());
-    const Ilu0Preconditioner<cplx> ilu(A);
-    std::vector<cplx> x(static_cast<std::size_t>(m), cplx{});
-    const auto stats = bicgstab(A, rhs, x, ilu);
-    if (!stats.converged) throw std::runtime_error("sparse AC solve failed to converge (singular MNA matrix / floating node?)");
-    for (std::size_t p = 0; p < probes.size(); ++p) {
-      out.node_v[p][fi] =
-          probes[p] == kGround ? cplx{} : x[static_cast<std::size_t>(node_row(probes[p]))];
-    }
-  });
-  return out;
-}
-
-AcResult run_ac(const Circuit& ckt, const std::vector<double>& freqs_hz,
-                const std::vector<NodeId>& probes) {
-  GIA_SPAN("circuit/ac");
-  core::instrument::counter_add(core::instrument::Counter::AcPoints, freqs_hz.size());
-  const bool sparse = use_sparse_mna(ckt.unknown_count());
-  if (core::instrument::enabled()) {
-    core::instrument::gauge_set("solver_backend.circuit_ac", sparse ? 1.0 : 0.0);
-  }
-  return sparse ? run_ac_sparse(ckt, freqs_hz, probes) : run_ac_dense(ckt, freqs_hz, probes);
 }
 
 std::vector<double> log_freq_grid(double f_start_hz, double f_stop_hz, int points_per_decade) {

@@ -2,8 +2,6 @@
 
 #include "circuit/dense_lu.hpp"
 #include "circuit/mna.hpp"
-#include "circuit/sparse.hpp"
-#include "core/instrument.hpp"
 
 namespace gia::circuit {
 
@@ -22,11 +20,8 @@ double DcSolution::inductor_current(int j) const {
 
 namespace {
 
-/// DC system assembly, shared verbatim by the dense and sparse backends
-/// (`M` is RealMatrix or RealSparseMatrix -- both stamp via add(r, c, v)).
-template <typename M>
-void assemble_dc(const Circuit& ckt, M& A) {
-  stamp_static<double>(ckt, A);
+void assemble_dc(const Circuit& ckt, RealMatrix& A) {
+  stamp_static(ckt, A);
   // gmin keeps nodes that only connect through capacitors solvable at DC,
   // the standard SPICE convergence aid.
   constexpr double gmin = 1e-12;
@@ -59,7 +54,7 @@ std::vector<double> dc_rhs(const Circuit& ckt, double t) {
 
 }  // namespace
 
-DcSolution solve_dc_dense(const Circuit& ckt, double t) {
+DcSolution solve_dc(const Circuit& ckt, double t) {
   const int m = ckt.unknown_count();
   RealMatrix A(m);
   assemble_dc(ckt, A);
@@ -68,53 +63,6 @@ DcSolution solve_dc_dense(const Circuit& ckt, double t) {
   out.ckt = &ckt;
   out.x = lu.solve(dc_rhs(ckt, t));
   return out;
-}
-
-DcSolution solve_dc_sparse(const Circuit& ckt, double t) {
-  const int m = ckt.unknown_count();
-  RealSparseMatrix A(m);
-  assemble_dc(ckt, A);
-  A.finalize();
-  const std::vector<double> rhs = dc_rhs(ckt, t);
-  // Equilibrate: the DC system mixes 1e-12 gmin with milliohm-path
-  // conductances, far beyond what ILU(0)+BiCGSTAB can solve to tight
-  // tolerance unscaled.
-  const std::vector<double> d = equilibration_scales(A.view());
-  apply_equilibration(A, d);
-  std::vector<double> b(static_cast<std::size_t>(m));
-  for (int i = 0; i < m; ++i) b[static_cast<std::size_t>(i)] = rhs[static_cast<std::size_t>(i)] * d[static_cast<std::size_t>(i)];
-  const Ilu0Preconditioner<double> ilu(A.view());
-  std::vector<double> x(static_cast<std::size_t>(m), 0.0);
-  const auto stats = bicgstab(A.view(), b, x, ilu);
-  if (stats.converged) {
-    for (int i = 0; i < m; ++i) x[static_cast<std::size_t>(i)] *= d[static_cast<std::size_t>(i)];
-    DcSolution out;
-    out.ckt = &ckt;
-    out.x = std::move(x);
-    return out;
-  }
-  // ILU(0) cannot pivot, and small saddle chains (e.g. the IVR settling
-  // circuit: vsource-R-L-R-L ladders) produce exact-cancellation pivots
-  // that only row exchanges cure -- equilibration does not help because
-  // the cancellation is structural, not a unit mismatch. Fall back to
-  // pivoted dense LU where it is affordable; genuinely singular systems
-  // still throw from inside the factorization, and at production scale
-  // (where dense would be the very cost this backend exists to avoid)
-  // non-convergence stays a loud failure.
-  constexpr int kDenseFallbackMaxUnknowns = 2048;
-  if (m > kDenseFallbackMaxUnknowns) {
-    throw std::runtime_error(
-        "sparse DC solve failed to converge (singular MNA matrix / floating node?)");
-  }
-  return solve_dc_dense(ckt, t);
-}
-
-DcSolution solve_dc(const Circuit& ckt, double t) {
-  const bool sparse = use_sparse_mna(ckt.unknown_count());
-  if (core::instrument::enabled()) {
-    core::instrument::gauge_set("solver_backend.circuit_dc", sparse ? 1.0 : 0.0);
-  }
-  return sparse ? solve_dc_sparse(ckt, t) : solve_dc_dense(ckt, t);
 }
 
 }  // namespace gia::circuit

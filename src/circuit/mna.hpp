@@ -13,10 +13,9 @@ namespace gia::circuit {
 /// Map a node to its unknown row, or -1 for ground.
 inline int node_row(NodeId n) { return n - 1; }
 
-/// Stamp a conductance g between nodes a and b into a matrix that supports
-/// add(r, c, T).
-template <typename M, typename T>
-void stamp_conductance(M& mat, NodeId a, NodeId b, T g) {
+/// Stamp a conductance g between nodes a and b.
+template <typename T>
+void stamp_conductance(DenseMatrix<T>& mat, NodeId a, NodeId b, T g) {
   const int ra = node_row(a), rb = node_row(b);
   if (ra >= 0) mat.add(ra, ra, g);
   if (rb >= 0) mat.add(rb, rb, g);
@@ -29,8 +28,8 @@ void stamp_conductance(M& mat, NodeId a, NodeId b, T g) {
 /// Stamp the current-branch incidence for a two-terminal branch whose
 /// current unknown is column `col`, flowing from `a` to `b`: KCL rows plus
 /// the (a - b) part of the branch equation row.
-template <typename M, typename T>
-void stamp_branch_incidence(M& mat, NodeId a, NodeId b, int col, T one) {
+template <typename T>
+void stamp_branch_incidence(DenseMatrix<T>& mat, NodeId a, NodeId b, int col, T one) {
   const int ra = node_row(a), rb = node_row(b);
   if (ra >= 0) { mat.add(ra, col, one); mat.add(col, ra, one); }
   if (rb >= 0) { mat.add(rb, col, -one); mat.add(col, rb, -one); }
@@ -38,10 +37,10 @@ void stamp_branch_incidence(M& mat, NodeId a, NodeId b, int col, T one) {
 
 /// Stamp the elements whose pattern is identical in DC, AC and transient:
 /// resistors, voltage-source branch incidence, VCVS constraints. (Values of
-/// dynamic elements and RHS differ per analysis.) Templated on the matrix so
-/// the same stamping code fills dense and sparse-CSR assemblies.
-template <typename T, typename M>
-void stamp_static(const Circuit& ckt, M& A) {
+/// dynamic elements and RHS differ per analysis.) Templated on the scalar so
+/// the same stamping code fills the real and complex matrices.
+template <typename T>
+void stamp_static(const Circuit& ckt, DenseMatrix<T>& A) {
   for (const auto& r : ckt.resistors()) {
     stamp_conductance(A, r.a, r.b, T{1.0 / r.ohms});
   }
@@ -63,8 +62,5 @@ void stamp_static(const Circuit& ckt, M& A) {
     if (rn >= 0) A.add(col, rn, T{e.gain});
   }
 }
-
-void stamp_static_real(const Circuit& ckt, RealMatrix& A);
-void stamp_static_complex(const Circuit& ckt, ComplexMatrix& A);
 
 }  // namespace gia::circuit

@@ -3,25 +3,22 @@
 #include <cmath>
 #include <stdexcept>
 
-#include <optional>
-
 #include "circuit/dc.hpp"
 #include "circuit/dense_lu.hpp"
 #include "circuit/mna.hpp"
-#include "circuit/sparse.hpp"
 #include "core/instrument.hpp"
 
 namespace gia::circuit {
 
 namespace {
 
-/// Trapezoidal system assembly, shared verbatim by the dense and sparse
-/// backends. Fills `mutual_val` with M = k * sqrt(L1 L2) as a side product.
-template <typename M>
-void assemble_transient(const Circuit& ckt, double dt, M& A, std::vector<double>& mutual_val) {
+/// Trapezoidal system assembly. Fills `mutual_val` with M = k * sqrt(L1 L2)
+/// as a side product.
+void assemble_transient(const Circuit& ckt, double dt, RealMatrix& A,
+                        std::vector<double>& mutual_val) {
   const auto& caps = ckt.capacitors();
   const auto& ls = ckt.inductors();
-  stamp_static<double>(ckt, A);
+  stamp_static(ckt, A);
   constexpr double gmin = 1e-12;  // keeps DC-floating nodes solvable
   for (int n = 0; n < ckt.node_count() - 1; ++n) A.add(n, n, gmin);
 
@@ -55,36 +52,11 @@ TransientResult run_transient(const Circuit& ckt, const TransientSpec& spec) {
   const auto& ls = ckt.inductors();
   const double dt = spec.dt;
 
-  // --- Assemble the (constant) trapezoidal system matrix and set up the
-  // backend. Dense factors LU once; sparse finalizes the CSR pattern and
-  // factors ILU(0) once, then BiCGSTAB warm-starts each step from the
-  // previous state (near-perfect initial guess for smooth waveforms).
-  const bool sparse = use_sparse_mna(m);
-  if (core::instrument::enabled()) {
-    core::instrument::gauge_set("solver_backend.circuit_transient", sparse ? 1.0 : 0.0);
-  }
+  // --- Assemble the (constant) trapezoidal system matrix and factor it once.
   std::vector<double> mutual_val;
-  std::optional<LuFactor<double>> lu;
-  std::optional<RealSparseMatrix> sp;
-  std::optional<Ilu0Preconditioner<double>> ilu;
-  if (sparse) {
-    sp.emplace(m);
-    assemble_transient(ckt, dt, *sp, mutual_val);
-    sp->finalize();
-    ilu.emplace(sp->view());
-  } else {
-    RealMatrix A(m);
-    assemble_transient(ckt, dt, A, mutual_val);
-    lu.emplace(std::move(A));
-  }
-  auto solve_step = [&](const std::vector<double>& rhs,
-                        const std::vector<double>& guess) -> std::vector<double> {
-    if (!sparse) return lu->solve(rhs);
-    std::vector<double> x = guess;
-    const auto stats = bicgstab(sp->view(), rhs, x, *ilu);
-    if (!stats.converged) throw std::runtime_error("sparse transient solve failed to converge (singular MNA matrix / floating node?)");
-    return x;
-  };
+  RealMatrix A(m);
+  assemble_transient(ckt, dt, A, mutual_val);
+  const LuFactor<double> lu(std::move(A));
 
   // --- Initial state.
   std::vector<double> x(static_cast<std::size_t>(m), 0.0);
@@ -163,7 +135,7 @@ TransientResult run_transient(const Circuit& ckt, const TransientSpec& spec) {
           (2.0 * mutual_val[kk] / dt) * i1_prev;
     }
 
-    std::vector<double> x_new = solve_step(rhs, x);
+    std::vector<double> x_new = lu.solve(rhs);
 
     // Update capacitor currents from the trapezoidal companion.
     for (std::size_t ci = 0; ci < caps.size(); ++ci) {

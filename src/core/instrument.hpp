@@ -49,7 +49,7 @@ enum class Counter : int {
   EyeUis,                 ///< unit intervals sampled by the eye fold
   FlowRuns,               ///< full co-design flow invocations
   StageRuns,              ///< flow stage bodies executed (stage-cache misses run)
-  KrylovIterations,       ///< CG/BiCGSTAB iterations across all sparse solves
+  KrylovIterations,       ///< Jacobi-CG iterations of multigrid coarsest-level solves
   MgVcycles,              ///< thermal geometric-multigrid V-cycles
   RouterExpansions,       ///< A* nodes expanded by the interposer grid router
   RouterReroutes,         ///< nets ripped up and rerouted (or layer-rebalanced)

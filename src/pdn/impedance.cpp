@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "circuit/ac.hpp"
-#include "circuit/sparse.hpp"
 #include "core/instrument.hpp"
 #include "core/parallel.hpp"
 
@@ -40,11 +39,11 @@ circuit::NodeId series_rl(circuit::Circuit& ckt, circuit::NodeId from, double r,
 
 }  // namespace
 
-ImpedanceCircuit impedance_circuit(const PdnModel& model) {
+ImpedanceProfile impedance_profile(const PdnModel& model, const ImpedanceOptions& opts) {
+  GIA_SPAN("pdn/impedance");
   using namespace circuit;
-  ImpedanceCircuit out;
-  Circuit& ckt = out.ckt;
-  const NodeId bump = out.bump = ckt.add_node("bump");
+  Circuit ckt;
+  const NodeId bump = ckt.add_node("bump");
 
   // 1 A AC injection at the bump; |V(bump)| is |Z|.
   ckt.add_isource(kGround, bump, Stimulus::dc(0), "iac", 1.0);
@@ -71,22 +70,11 @@ ImpedanceCircuit impedance_circuit(const PdnModel& model) {
     ball = b2;
   }
   ckt.add_vsource(ball, kGround, Stimulus::dc(0), "vboard", 0.0);
-  return out;
-}
 
-ImpedanceProfile impedance_profile(const PdnModel& model, const ImpedanceOptions& opts) {
-  GIA_SPAN("pdn/impedance");
-  const ImpedanceCircuit ic = impedance_circuit(model);
-  const auto freqs = circuit::log_freq_grid(opts.f_start_hz, opts.f_stop_hz, opts.points_per_decade);
+  const auto freqs = log_freq_grid(opts.f_start_hz, opts.f_stop_hz, opts.points_per_decade);
   // run_ac factors and solves the independent frequency points in parallel
-  // (see circuit/ac.cpp), on dense LU below circuit::kSparseMinUnknowns
-  // unknowns and CSR + BiCGSTAB above; each |Z| slot below is likewise
-  // per-index.
-  if (core::instrument::enabled()) {
-    core::instrument::gauge_set("solver_backend.pdn_impedance",
-                                circuit::use_sparse_mna(ic.ckt.unknown_count()) ? 1.0 : 0.0);
-  }
-  const auto ac = circuit::run_ac(ic.ckt, freqs, {ic.bump});
+  // (see circuit/ac.cpp); each |Z| slot below is likewise per-index.
+  const auto ac = run_ac(ckt, freqs, {bump});
 
   ImpedanceProfile out;
   out.freq_hz = freqs;

@@ -2,7 +2,6 @@
 
 #include <vector>
 
-#include "circuit/circuit.hpp"
 #include "pdn/pdn_model.hpp"
 
 /// \file impedance.hpp
@@ -29,15 +28,8 @@ struct ImpedanceOptions {
   int points_per_decade = 24;
 };
 
-/// The lumped model as an MNA circuit: a 1 A AC current source into `bump`,
-/// so |V(bump)| is |Z|.
-struct ImpedanceCircuit {
-  circuit::Circuit ckt;
-  circuit::NodeId bump = circuit::kGround;
-};
-ImpedanceCircuit impedance_circuit(const PdnModel& model);
-
-/// Sweep impedance_circuit(model) with the MNA AC engine.
+/// Sweep the lumped model with the MNA AC engine: a 1 A AC current source
+/// into the bump node, so |V(bump)| is |Z|.
 ImpedanceProfile impedance_profile(const PdnModel& model, const ImpedanceOptions& opts = {});
 
 }  // namespace gia::pdn

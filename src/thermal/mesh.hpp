@@ -64,6 +64,23 @@ struct MeshOptions {
   unsigned power_seed = 11;
 };
 
+/// Series conductance [W/K] between two voxel centers through half-cells of
+/// conductivity ka, kb with face area `area` and center distances da, db
+/// (all SI). Together with film_g this is the discretization both
+/// steady-state solvers (SOR and multigrid) assemble.
+inline double series_g(double ka, double kb, double area, double da, double db) {
+  const double ra = da / (ka * area);
+  const double rb = db / (kb * area);
+  return 1.0 / (ra + rb);
+}
+
+/// Boundary film conductance [W/K] of a rim cell: half-cell conduction
+/// (conductivity k, center-to-face distance `half`) in series with a
+/// convective film of coefficient h [W/(m^2*K)], both through face `area`.
+inline double film_g(double k, double area, double half, double h) {
+  return 1.0 / (half / (k * area) + 1.0 / (h * area));
+}
+
 /// Build the stack for a designed system (any of the six technologies).
 ThermalMesh build_thermal_mesh(const interposer::InterposerDesign& design,
                                const MeshOptions& opts = {});

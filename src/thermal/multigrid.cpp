@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "circuit/dense_lu.hpp"
-#include "circuit/sparse.hpp"
 #include "core/instrument.hpp"
 #include "core/parallel.hpp"
 #include "thermal/solver.hpp"
@@ -45,15 +44,6 @@ namespace gia::thermal {
 namespace instrument = core::instrument;
 
 namespace {
-
-/// Series conductance [W/K] between two voxel centers through half-cells of
-/// conductivity ka, kb with face area `area` and center distances da, db
-/// (all SI). Mirrors solver.cpp so both discretizations agree exactly.
-double series_g(double ka, double kb, double area, double da, double db) {
-  const double ra = da / (ka * area);
-  const double rb = db / (kb * area);
-  return 1.0 / (ra + rb);
-}
 
 /// One multigrid level: geometry, per-cell conductivity, the assembled
 /// 7-point operator (link conductances + diagonal incl. films), and the
@@ -140,17 +130,14 @@ void assemble_fine(Level& L, const ThermalMesh& mesh) {
         // films on the outer layers (half-cell conduction in series with
         // the film), exactly as the SOR stencil.
         double f = 0.0;
-        if (x == 0) f += 1.0 / (L.w / 2 / (k_c * a_x) + 1.0 / (mesh.h_side * a_x));
-        if (x + 1 == L.nx) f += 1.0 / (L.w / 2 / (k_c * a_x) + 1.0 / (mesh.h_side * a_x));
-        if (y == 0) f += 1.0 / (L.h / 2 / (k_c * a_y) + 1.0 / (mesh.h_side * a_y));
-        if (y + 1 == L.ny) f += 1.0 / (L.h / 2 / (k_c * a_y) + 1.0 / (mesh.h_side * a_y));
+        if (x == 0) f += film_g(k_c, a_x, L.w / 2, mesh.h_side);
+        if (x + 1 == L.nx) f += film_g(k_c, a_x, L.w / 2, mesh.h_side);
+        if (y == 0) f += film_g(k_c, a_y, L.h / 2, mesh.h_side);
+        if (y + 1 == L.ny) f += film_g(k_c, a_y, L.h / 2, mesh.h_side);
         if (z + 1 == L.nz) {
-          f += 1.0 / (L.dz[static_cast<std::size_t>(z)] / 2 / (k_c * a_z) +
-                      1.0 / (mesh.h_top * a_z));
+          f += film_g(k_c, a_z, L.dz[static_cast<std::size_t>(z)] / 2, mesh.h_top);
         }
-        if (z == 0) {
-          f += 1.0 / (L.dz[0] / 2 / (k_c * a_z) + 1.0 / (mesh.h_bottom * a_z));
-        }
+        if (z == 0) f += film_g(k_c, a_z, L.dz[0] / 2, mesh.h_bottom);
         L.film[i] = f;
       }
     }
@@ -315,35 +302,32 @@ void prolong_add(const Level& coarse, Level& fine) {
 /// block" leaves a slow ~0.85/cycle tail, while an exact solve restores
 /// the mesh-independent multigrid rate. Small levels get a dense LU
 /// factored once; levels a stopped (odd-extent) coarsening left large get
-/// tightly-converged Jacobi-CG, which handles the near-null mode where
-/// stationary smoothing cannot.
+/// tightly-converged Jacobi-CG on the level's own stencil, which handles the
+/// near-null mode where stationary smoothing cannot.
 class CoarseSolver {
  public:
-  explicit CoarseSolver(const Level& L) {
+  explicit CoarseSolver(const Level& L) : L_(L) {
     const int n = static_cast<int>(L.cells());
-    if (n <= kDirectMaxCells) {
-      circuit::DenseMatrix<double> A(n);
-      for_each_link(L, [&](int i, int j, double g) {
-        A.at(i, j) = -g;
-        A.at(j, i) = -g;
-      });
-      for (std::size_t i = 0; i < L.cells(); ++i) {
-        A.at(static_cast<int>(i), static_cast<int>(i)) = L.diag[i];
-      }
-      lu_.emplace(std::move(A));
-    } else {
-      circuit::RealSparseMatrix A(n);
-      for (std::size_t i = 0; i < L.cells(); ++i) {
-        A.add(static_cast<int>(i), static_cast<int>(i), L.diag[i]);
-      }
-      for_each_link(L, [&](int i, int j, double g) {
-        A.add(i, j, -g);
-        A.add(j, i, -g);
-      });
-      A.finalize();
-      sp_.emplace(std::move(A));
-      jacobi_.emplace(sp_->view());
+    if (n > kDirectMaxCells) {
+      inv_diag_.resize(L.cells());
+      for (std::size_t i = 0; i < L.cells(); ++i) inv_diag_[i] = 1.0 / L.diag[i];
+      return;
     }
+    circuit::DenseMatrix<double> A(n);
+    const int plane = L.nx * L.ny;
+    for (int z = 0; z < L.nz; ++z) {
+      for (int y = 0; y < L.ny; ++y) {
+        for (int x = 0; x < L.nx; ++x) {
+          const std::size_t i = L.idx(x, y, z);
+          const int ii = static_cast<int>(i);
+          A.at(ii, ii) = L.diag[i];
+          if (x + 1 < L.nx) A.at(ii, ii + 1) = A.at(ii + 1, ii) = -L.gx[i];
+          if (y + 1 < L.ny) A.at(ii, ii + L.nx) = A.at(ii + L.nx, ii) = -L.gy[i];
+          if (z + 1 < L.nz) A.at(ii, ii + plane) = A.at(ii + plane, ii) = -L.gz[i];
+        }
+      }
+    }
+    lu_.emplace(std::move(A));
   }
 
   void solve(const std::vector<double>& rhs, std::vector<double>& u) const {
@@ -351,35 +335,82 @@ class CoarseSolver {
       u = lu_->solve(rhs);
       return;
     }
-    std::fill(u.begin(), u.end(), 0.0);
-    circuit::KrylovOptions ko;
-    ko.tol_rel = 1e-13;
-    ko.max_iters = 40 * sp_->size();
-    (void)circuit::cg(sp_->view(), rhs, u, *jacobi_, ko);
+    conjugate_gradient(rhs, u);
   }
 
  private:
   static constexpr int kDirectMaxCells = 1500;
 
-  template <typename F>
-  static void for_each_link(const Level& L, const F& f) {
-    const std::size_t plane = static_cast<std::size_t>(L.nx) * L.ny;
+  /// out = A v. Each row is summed from 0.0 in ascending column order
+  /// (z-1, y-1, x-1, self, x+1, y+1, z+1) -- unlike residual() -- and that
+  /// order is part of the pinned result: another one moves the last bits of
+  /// every CG iterate.
+  void multiply(const std::vector<double>& v, std::vector<double>& out) const {
+    const Level& L = L_;
+    const std::size_t row = static_cast<std::size_t>(L.nx);
+    const std::size_t plane = row * static_cast<std::size_t>(L.ny);
     for (int z = 0; z < L.nz; ++z) {
       for (int y = 0; y < L.ny; ++y) {
         for (int x = 0; x < L.nx; ++x) {
           const std::size_t i = L.idx(x, y, z);
-          const int ii = static_cast<int>(i);
-          if (x + 1 < L.nx) f(ii, ii + 1, L.gx[i]);
-          if (y + 1 < L.ny) f(ii, ii + L.nx, L.gy[i]);
-          if (z + 1 < L.nz) f(ii, ii + static_cast<int>(plane), L.gz[i]);
+          double acc = 0.0;
+          if (z > 0) acc += -L.gz[i - plane] * v[i - plane];
+          if (y > 0) acc += -L.gy[i - row] * v[i - row];
+          if (x > 0) acc += -L.gx[i - 1] * v[i - 1];
+          acc += L.diag[i] * v[i];
+          if (x + 1 < L.nx) acc += -L.gx[i] * v[i + 1];
+          if (y + 1 < L.ny) acc += -L.gy[i] * v[i + row];
+          if (z + 1 < L.nz) acc += -L.gz[i] * v[i + plane];
+          out[i] = acc;
         }
       }
     }
   }
 
+  static double dot(const std::vector<double>& a, const std::vector<double>& b) {
+    double s = 0;
+    for (std::size_t i = 0; i < a.size(); ++i) s += a[i] * b[i];
+    return s;
+  }
+
+  /// Jacobi-preconditioned CG from u = 0 to ||r|| <= 1e-13 ||rhs||, at most
+  /// 40 iterations per cell.
+  void conjugate_gradient(const std::vector<double>& rhs, std::vector<double>& u) const {
+    const std::size_t n = rhs.size();
+    std::fill(u.begin(), u.end(), 0.0);
+    const double bnorm = std::sqrt(dot(rhs, rhs));
+    if (bnorm == 0.0) return;
+    const double tol = 1e-13 * bnorm;
+    const int max_iters = 40 * static_cast<int>(n);
+
+    // u = 0, so the initial residual is rhs itself.
+    std::vector<double> r = rhs, z(n), p(n), ap(n);
+    for (std::size_t i = 0; i < n; ++i) z[i] = inv_diag_[i] * r[i];
+    p = z;
+    double rz = dot(r, z);
+    int iterations = 0;
+    for (int it = 0; it < max_iters; ++it) {
+      multiply(p, ap);
+      const double pap = dot(p, ap);
+      if (std::abs(pap) < 1e-300) break;  // breakdown (singular operator)
+      const double alpha = rz / pap;
+      for (std::size_t i = 0; i < n; ++i) u[i] += alpha * p[i];
+      for (std::size_t i = 0; i < n; ++i) r[i] -= alpha * ap[i];
+      iterations = it + 1;
+      if (std::sqrt(dot(r, r)) <= tol) break;
+      for (std::size_t i = 0; i < n; ++i) z[i] = inv_diag_[i] * r[i];
+      const double rz_new = dot(r, z);
+      const double beta = rz_new / rz;
+      rz = rz_new;
+      for (std::size_t i = 0; i < n; ++i) p[i] = z[i] + beta * p[i];
+    }
+    instrument::counter_add(instrument::Counter::KrylovIterations,
+                            static_cast<std::uint64_t>(iterations));
+  }
+
+  const Level& L_;
   std::optional<circuit::LuFactor<double>> lu_;
-  std::optional<circuit::RealSparseMatrix> sp_;
-  std::optional<circuit::JacobiPreconditioner<double>> jacobi_;
+  std::vector<double> inv_diag_;  ///< Jacobi preconditioner (CG path only)
 };
 
 void vcycle(std::vector<Level>& levels, std::size_t l, const CoarseSolver& coarse,

@@ -11,19 +11,6 @@ namespace gia::thermal {
 
 namespace instrument = core::instrument;
 
-namespace {
-
-/// Series conductance [W/K] between two voxel centers through half-cells of
-/// conductivity ka, kb with face area `area` and center distances da, db
-/// (all SI).
-double series_g(double ka, double kb, double area, double da, double db) {
-  const double ra = da / (ka * area);
-  const double rb = db / (kb * area);
-  return 1.0 / (ra + rb);
-}
-
-}  // namespace
-
 ThermalField solve_steady_state(const ThermalMesh& mesh, const SolverOptions& opts) {
   const bool mg = use_multigrid(mesh.nx, mesh.ny);
   if (instrument::enabled()) {
@@ -85,8 +72,7 @@ ThermalField solve_steady_state_sor(const ThermalMesh& mesh, const SolverOptions
           rhs += g * t.at(x2, y2);
         } else {
           // Side film: half-cell conduction in series with convection.
-          const double g =
-              1.0 / (half / (k_c * area) + 1.0 / (mesh.h_side * area));
+          const double g = film_g(k_c, area, half, mesh.h_side);
           g_sum += g;
           rhs += g * mesh.ambient_c;
         }
@@ -101,8 +87,7 @@ ThermalField solve_steady_state_sor(const ThermalMesh& mesh, const SolverOptions
         g_sum += g;
         rhs += g * field.t_c[static_cast<std::size_t>(z + 1)].at(x, y);
       } else {
-        const double g = 1.0 / (dz[static_cast<std::size_t>(z)] / 2 / (k_c * a_z) +
-                                1.0 / (mesh.h_top * a_z));
+        const double g = film_g(k_c, a_z, dz[static_cast<std::size_t>(z)] / 2, mesh.h_top);
         g_sum += g;
         rhs += g * mesh.ambient_c;
       }
@@ -113,7 +98,7 @@ ThermalField solve_steady_state_sor(const ThermalMesh& mesh, const SolverOptions
         g_sum += g;
         rhs += g * field.t_c[static_cast<std::size_t>(z - 1)].at(x, y);
       } else {
-        const double g = 1.0 / (dz[0] / 2 / (k_c * a_z) + 1.0 / (mesh.h_bottom * a_z));
+        const double g = film_g(k_c, a_z, dz[0] / 2, mesh.h_bottom);
         g_sum += g;
         rhs += g * mesh.ambient_c;
       }

@@ -10,13 +10,15 @@
 /// half-cell resistances, so layered stacks with 100x conductivity contrast
 /// (glass vs silicon) behave correctly.
 ///
-/// Two steady-state methods share the discretization:
+/// Two steady-state methods share the discretization (series_g and film_g
+/// in mesh.hpp):
 ///  * fixed-sweep red-black SOR -- the small-mesh reference, byte-stable;
 ///  * geometric multigrid V-cycles (multigrid.cpp) -- red-black z-line
 ///    smoothing (exact vertical-column solves), lateral semi-coarsening
-///    with full-weighting restriction and bilinear prolongation, for
-///    production-scale meshes where SOR's O(N) sweep count becomes the
-///    wall.
+///    with full-weighting restriction and bilinear prolongation, and an
+///    exact coarsest-level solve (dense LU, or matrix-free Jacobi-CG on the
+///    level's stencil when coarsening stops early), for production-scale
+///    meshes where SOR's O(N) sweep count becomes the wall.
 /// `solve_steady_state` picks by mesh size alone (`use_multigrid`), which
 /// keeps the default 48x48 flow mesh on SOR. Meshes whose extents cannot
 /// halve (odd, or below the coarsening floor) always fall back to SOR.

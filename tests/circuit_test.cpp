@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <complex>
+#include <stdexcept>
 
 #include "circuit/ac.hpp"
 #include "circuit/circuit.hpp"
@@ -140,6 +141,17 @@ TEST(Dc, VcvsAmplifies) {
   c.add_resistor(out, ck::kGround, 50);
   auto sol = ck::solve_dc(c);
   EXPECT_NEAR(sol.voltage(out), 1.0, 1e-9);
+}
+
+TEST(Dc, SingularSystemThrows) {
+  // A degenerate voltage source (both terminals on one node) produces an
+  // all-zero branch row: the assembled DC system itself is singular, not
+  // just a factorization corner case.
+  ck::Circuit c;
+  auto a = c.add_node("a");
+  c.add_resistor(a, ck::kGround, 10.0, "r");
+  c.add_vsource(a, a, ck::Stimulus::dc(1.0), "vloop");
+  EXPECT_THROW(ck::solve_dc(c), std::runtime_error);
 }
 
 // --- AC ----------------------------------------------------------------------
