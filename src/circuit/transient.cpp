@@ -89,6 +89,7 @@ TransientResult run_transient(const Circuit& ckt, const TransientSpec& spec) {
   record(x);
 
   std::vector<double> rhs(static_cast<std::size_t>(m));
+  std::vector<double> x_new(static_cast<std::size_t>(m));
   for (std::size_t step = 1; step <= n_steps; ++step) {
     const double t = static_cast<double>(step) * dt;
     std::fill(rhs.begin(), rhs.end(), 0.0);
@@ -135,7 +136,7 @@ TransientResult run_transient(const Circuit& ckt, const TransientSpec& spec) {
           (2.0 * mutual_val[kk] / dt) * i1_prev;
     }
 
-    std::vector<double> x_new = lu.solve(rhs);
+    lu.solve_into(rhs, x_new);
 
     // Update capacitor currents from the trapezoidal companion.
     for (std::size_t ci = 0; ci < caps.size(); ++ci) {
@@ -145,7 +146,7 @@ TransientResult run_transient(const Circuit& ckt, const TransientSpec& spec) {
       const double v_new = v_of(x_new, c.a) - v_of(x_new, c.b);
       icap[ci] = geq * (v_new - v_prev) - icap[ci];
     }
-    x = std::move(x_new);
+    x.swap(x_new);
     record(x);
   }
 

@@ -332,7 +332,7 @@ class CoarseSolver {
 
   void solve(const std::vector<double>& rhs, std::vector<double>& u) const {
     if (lu_) {
-      u = lu_->solve(rhs);
+      lu_->solve_into(rhs, u);
       return;
     }
     conjugate_gradient(rhs, u);

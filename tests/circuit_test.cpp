@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <complex>
+#include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 #include "circuit/ac.hpp"
 #include "circuit/circuit.hpp"
@@ -57,6 +60,189 @@ TEST(DenseLu, ComplexSystem) {
   EXPECT_NEAR(x[0].imag(), -1.0, 1e-12);
   EXPECT_NEAR(x[1].real(), 2.0, 1e-12);
   EXPECT_NEAR(x[1].imag(), 0.0, 1e-12);
+}
+
+namespace {
+
+/// The dense solve LuFactor performed before it kept only its factor's
+/// nonzeros: the same partial-pivoting elimination, then substitution over
+/// every entry of L and U, exact zeros included. `zeros` counts the exact
+/// zeros among the factor's off-diagonal entries -- the terms the
+/// compressed solve skips.
+template <typename T>
+struct DenseReference {
+  std::vector<T> x;
+  int zeros = 0;
+};
+
+template <typename T>
+DenseReference<T> dense_reference_solve(ck::DenseMatrix<T> a, const std::vector<T>& b) {
+  const int n = a.size();
+  std::vector<int> piv(static_cast<std::size_t>(n));
+  std::vector<T> inv(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) piv[static_cast<std::size_t>(i)] = i;
+  for (int k = 0; k < n; ++k) {
+    int p = k;
+    double best = ck::abs_of<T>::get(a.at(k, k));
+    for (int r = k + 1; r < n; ++r) {
+      const double v = ck::abs_of<T>::get(a.at(r, k));
+      if (v > best) { best = v; p = r; }
+    }
+    if (p != k) {
+      for (int c = 0; c < n; ++c) std::swap(a.at(k, c), a.at(p, c));
+      std::swap(piv[static_cast<std::size_t>(k)], piv[static_cast<std::size_t>(p)]);
+    }
+    const T inv_piv = T{1} / a.at(k, k);
+    inv[static_cast<std::size_t>(k)] = inv_piv;
+    for (int r = k + 1; r < n; ++r) {
+      const T m = a.at(r, k) * inv_piv;
+      a.at(r, k) = m;
+      for (int c = k + 1; c < n; ++c) a.at(r, c) -= m * a.at(k, c);
+    }
+  }
+  DenseReference<T> out;
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < n; ++c) out.zeros += (c != r && a.at(r, c) == T{}) ? 1 : 0;
+  }
+  std::vector<T>& x = out.x;
+  x.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    x[static_cast<std::size_t>(i)] = b[static_cast<std::size_t>(piv[static_cast<std::size_t>(i)])];
+  }
+  for (int i = 0; i < n; ++i) {
+    T acc = x[static_cast<std::size_t>(i)];
+    for (int j = 0; j < i; ++j) acc -= a.at(i, j) * x[static_cast<std::size_t>(j)];
+    x[static_cast<std::size_t>(i)] = acc;
+  }
+  for (int i = n - 1; i >= 0; --i) {
+    T acc = x[static_cast<std::size_t>(i)];
+    for (int j = i + 1; j < n; ++j) acc -= a.at(i, j) * x[static_cast<std::size_t>(j)];
+    x[static_cast<std::size_t>(i)] = acc * inv[static_cast<std::size_t>(i)];
+  }
+  return out;
+}
+
+/// Raw IEEE-754 bits of every double (real and imaginary parts in turn).
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out;
+  for (double d : v) out.push_back(std::bit_cast<std::uint64_t>(d));
+  return out;
+}
+std::vector<std::uint64_t> bits_of(const std::vector<std::complex<double>>& v) {
+  std::vector<std::uint64_t> out;
+  for (const auto& c : v) {
+    out.push_back(std::bit_cast<std::uint64_t>(c.real()));
+    out.push_back(std::bit_cast<std::uint64_t>(c.imag()));
+  }
+  return out;
+}
+
+/// Deterministic values in [-1, 1), never exactly zero.
+struct Lcg {
+  std::uint64_t s = 0x9e3779b97f4a7c15ull;
+  double next() {
+    s = s * 6364136223846793005ull + 1442695040888963407ull;
+    const double u = static_cast<double>(s >> 11) * 0x1.0p-53;
+    return u == 0.5 ? 0.25 : 2.0 * u - 1.0;
+  }
+};
+
+/// A banded matrix (half-width 3) with weak diagonals, its rows scrambled
+/// by i -> 7i mod n: partial pivoting swaps rows and the elimination fills
+/// in part of the band's complement, but most of the factor stays zero.
+template <typename T>
+ck::DenseMatrix<T> permuted_banded(int n, Lcg& rng, T (*draw)(Lcg&)) {
+  ck::DenseMatrix<T> a(n);
+  for (int i = 0; i < n; ++i) {
+    const int row = (7 * i) % n;
+    for (int j = std::max(0, i - 3); j <= std::min(n - 1, i + 3); ++j) {
+      a.at(row, j) = (i == j ? T{0.01} : T{1}) * draw(rng);
+    }
+  }
+  return a;
+}
+
+double draw_real(Lcg& rng) { return rng.next(); }
+std::complex<double> draw_complex(Lcg& rng) {
+  const double re = rng.next();
+  return {re, rng.next()};
+}
+
+}  // namespace
+
+TEST(DenseLu, BandedSolveMatchesDenseReferenceBitForBit) {
+  Lcg rng;
+  const int n = 40;
+  const auto a = permuted_banded<double>(n, rng, draw_real);
+  std::vector<double> b(static_cast<std::size_t>(n));
+  for (double& v : b) v = rng.next();
+  const auto ref = dense_reference_solve(a, b);
+  EXPECT_GT(ref.zeros, n * (n - 1) / 2);  // most of the factor is skipped
+  const ck::LuFactor<double> lu(a);
+  EXPECT_EQ(bits_of(lu.solve(b)), bits_of(ref.x));
+  // solve_into resizes and overwrites whatever the buffer held.
+  std::vector<double> x(3, 7.0);
+  lu.solve_into(b, x);
+  EXPECT_EQ(bits_of(x), bits_of(ref.x));
+}
+
+TEST(DenseLu, FullyDenseSolveMatchesDenseReferenceBitForBit) {
+  Lcg rng;
+  const int n = 24;
+  ck::RealMatrix a(n);
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < n; ++c) a.at(r, c) = rng.next();
+  }
+  std::vector<double> b(static_cast<std::size_t>(n));
+  for (double& v : b) v = rng.next();
+  const auto ref = dense_reference_solve(a, b);
+  EXPECT_EQ(ref.zeros, 0);  // nothing to skip
+  EXPECT_EQ(bits_of(ck::LuFactor<double>(a).solve(b)), bits_of(ref.x));
+}
+
+TEST(DenseLu, ComplexSolveMatchesDenseReferenceBitForBit) {
+  using cplx = std::complex<double>;
+  Lcg rng;
+  const int n = 30;
+  const auto a = permuted_banded<cplx>(n, rng, draw_complex);
+  std::vector<cplx> b(static_cast<std::size_t>(n));
+  for (cplx& v : b) v = draw_complex(rng);
+  const auto ref = dense_reference_solve(a, b);
+  EXPECT_GT(ref.zeros, 0);
+  EXPECT_EQ(bits_of(ck::LuFactor<cplx>(a).solve(b)), bits_of(ref.x));
+}
+
+TEST(DenseLu, NegativeZeroRhsDiffersAtMostInZeroSigns) {
+  // Two decoupled banded blocks; the first block's right-hand side is all
+  // -0.0, so its solution is zero. A skipped term 0 * x_j can only flip the
+  // sign of a zero partial sum (-0 - (-0) = +0): every nonzero result is
+  // bit-identical and every zero stays zero.
+  Lcg rng;
+  const int half = 20, n = 2 * half;
+  const auto blk1 = permuted_banded<double>(half, rng, draw_real);
+  const auto blk2 = permuted_banded<double>(half, rng, draw_real);
+  ck::RealMatrix a(n);
+  for (int r = 0; r < half; ++r) {
+    for (int c = 0; c < half; ++c) {
+      a.at(r, c) = blk1.at(r, c);
+      a.at(half + r, half + c) = blk2.at(r, c);
+    }
+  }
+  std::vector<double> b(static_cast<std::size_t>(n), -0.0);
+  for (int i = half; i < n; i += 2) b[static_cast<std::size_t>(i)] = rng.next();
+  const auto ref = dense_reference_solve(a, b);
+  const auto x = ck::LuFactor<double>(a).solve(b);
+  ASSERT_EQ(x.size(), ref.x.size());
+  int zeros = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    if (ref.x[i] == 0.0) {
+      ++zeros;
+      EXPECT_EQ(x[i], 0.0) << i;
+    } else {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(x[i]), std::bit_cast<std::uint64_t>(ref.x[i])) << i;
+    }
+  }
+  EXPECT_EQ(zeros, half);
 }
 
 // --- Stimulus ----------------------------------------------------------------

@@ -40,23 +40,24 @@ struct ThreadCountGuard {
   int saved;
 };
 
-tml::ThermalMesh small_mesh() {
+/// Two-layer n x n stack: a low-k base under a high-k top that dissipates.
+tml::ThermalMesh two_layer_mesh(int n) {
   tml::ThermalMesh mesh;
-  mesh.nx = 12;
-  mesh.ny = 12;
+  mesh.nx = n;
+  mesh.ny = n;
   mesh.cell_w_um = 150;
   mesh.cell_h_um = 150;
   tml::ZLayer bot, top;
   bot.name = "bot";
   bot.thickness_um = 400;
-  bot.k = gia::geometry::Grid<double>(12, 12, 2.0);
-  bot.power = gia::geometry::Grid<double>(12, 12, 0.0);
+  bot.k = gia::geometry::Grid<double>(n, n, 2.0);
+  bot.power = gia::geometry::Grid<double>(n, n, 0.0);
   top = bot;
   top.name = "top";
   top.k.fill(120.0);
   // Asymmetric power so scheduling mistakes cannot hide behind symmetry.
-  for (int y = 0; y < 12; ++y) {
-    for (int x = 0; x < 12; ++x) top.power.at(x, y) = 1e-4 * (1 + x + 3 * y);
+  for (int y = 0; y < n; ++y) {
+    for (int x = 0; x < n; ++x) top.power.at(x, y) = 1e-4 * (1 + x + 3 * y);
   }
   mesh.layers = {bot, top};
   return mesh;
@@ -403,7 +404,7 @@ TEST(OrderedReduce, ByteIdenticalAcrossThreadCounts) {
 
 TEST(Determinism, ThermalSteadyState) {
   ThreadCountGuard guard;
-  const auto mesh = small_mesh();
+  const auto mesh = two_layer_mesh(12);
   co::set_thread_count(1);
   const auto serial = tml::solve_steady_state(mesh);
   co::set_thread_count(4);
@@ -415,6 +416,37 @@ TEST(Determinism, ThermalSteadyState) {
   ASSERT_EQ(serial.t_c.size(), parallel.t_c.size());
   for (std::size_t z = 0; z < serial.t_c.size(); ++z) {
     EXPECT_EQ(serial.t_c[z].data(), parallel.t_c[z].data()) << "layer " << z;
+  }
+}
+
+TEST(Determinism, ThermalSorEitherSideOfSerialCutoff) {
+  // The largest two-layer mesh below kSorParallelMinCells sweeps serially
+  // at any thread count; the next size up sweeps over the pool at 4 threads.
+  // Both must give the same field at 1 and 4 threads. A fixed sweep count
+  // keeps the larger mesh cheap; convergence is not the point here.
+  ThreadCountGuard guard;
+  int n = 1;
+  while (2 * static_cast<std::size_t>(n + 1) * static_cast<std::size_t>(n + 1) <
+         tml::kSorParallelMinCells) {
+    ++n;
+  }
+  tml::SolverOptions opts;
+  opts.max_iters = 200;
+  for (const int side : {n, n + 1}) {
+    const auto mesh = two_layer_mesh(side);
+    ASSERT_EQ(2 * static_cast<std::size_t>(side) * static_cast<std::size_t>(side) <
+                  tml::kSorParallelMinCells,
+              side == n);
+    co::set_thread_count(1);
+    const auto serial = tml::solve_steady_state_sor(mesh, opts);
+    co::set_thread_count(4);
+    const auto parallel = tml::solve_steady_state_sor(mesh, opts);
+    EXPECT_EQ(serial.iterations, parallel.iterations) << side;
+    EXPECT_EQ(serial.max_c, parallel.max_c) << side;
+    ASSERT_EQ(serial.t_c.size(), parallel.t_c.size());
+    for (std::size_t z = 0; z < serial.t_c.size(); ++z) {
+      EXPECT_EQ(serial.t_c[z].data(), parallel.t_c[z].data()) << side << " layer " << z;
+    }
   }
 }
 
